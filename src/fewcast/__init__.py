@@ -31,7 +31,6 @@ from .learners import (
     predict,
 )
 from .meta import (
-    EvalSettings,
     EvaluationRecord,
     MetaConfig,
     MetaResult,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -36,52 +37,62 @@ from .data import (
 )
 from .learners import (
     CheckpointError,
+    FAMILIES,
     LearnerSpec,
     NumericError,
     OPTIMIZERS,
     forward,
+    init_params,
     load_params,
+    loss,
     save_params,
 )
-from .meta import (
-    EvalSettings,
-    MetaConfig,
-    PipelineConfig,
-    evaluate_params,
-    total_gradient_steps,
-    train_pipeline,
-    train_vanilla,
-)
-from .search import build_search_space, search
+from .meta import MetaConfig, PipelineConfig, fine_tune, total_gradient_steps, train_pipeline
+from .rng import derive_seed
+from .search import WIDTH_OPTIONS, build_search_space, search
 from .stats import compare_samples
-
-LR_MIN, LR_MAX = 1e-4, 0.5
 
 
 class UsageError(ValueError):
     pass
 
 
-def _apply_config_file(args, argv: list[str]) -> None:
-    """Overlay values from a JSON config document onto parsed arguments.
+@contextlib.contextmanager
+def _usage_errors():
+    """Report an invalid setting as a usage error instead of a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
-    Explicit command-line flags win over the file; unknown keys are usage
-    errors so typos never pass silently.
+
+def _config_argv(args, argv: list[str]) -> list[str]:
+    """Re-express a JSON config document as flags placed right after the
+    command name, so argparse checks their types and any flag given on the
+    command line, in either form, comes later and wins.
+
+    Unknown keys are usage errors so typos never pass silently.
     """
-    if not getattr(args, "config", None):
-        return
     try:
         overrides = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.config}: not valid JSON ({exc})") from None
     if not isinstance(overrides, dict):
         raise UsageError(f"{args.config}: expected a JSON object")
+    tokens = []
     for key, value in overrides.items():
         if not hasattr(args, key) or key in ("config", "func", "command"):
             raise UsageError(f"{args.config}: unknown configuration key {key!r}")
-        if f"--{key.replace('_', '-')}" in argv:
-            continue
-        setattr(args, key, value)
+        flag = f"--{key.replace('_', '-')}"
+        if isinstance(getattr(args, key), bool):  # an on/off switch
+            if not isinstance(value, bool):
+                raise UsageError(f"{args.config}: {key!r} must be true or false, got {value!r}")
+            tokens += [flag] if value else []
+        elif isinstance(value, list):
+            tokens += [flag, *map(str, value)]
+        else:
+            tokens.append(f"{flag}={value}")
+    return argv[:1] + tokens + argv[1:]
 
 
 def _write_manifest(out_dir: Path, command: str, argv: list[str], extra: dict | None = None) -> None:
@@ -112,31 +123,26 @@ def _load_series_dir(data_dir: Path, require_train: bool = True):
     return train_series, targets[0]
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    for name in ("inner_lr", "outer_lr", "finetune_lr"):
-        value = getattr(args, name)
-        if not LR_MIN <= value <= LR_MAX:
-            raise UsageError(f"--{name.replace('_', '-')} must lie in [{LR_MIN}, {LR_MAX}], got {value}")
-    if args.family != "linear" and not 128 <= args.width <= 1024:
-        raise UsageError(f"--width must lie in [128, 1024], got {args.width}")
-    return PipelineConfig(
-        family=args.family,
-        width=1 if args.family == "linear" else args.width,
-        inner_lr=args.inner_lr,
-        outer_lr=args.outer_lr,
-        finetune_lr=args.finetune_lr,
-        optimizer=args.optimizer,
-    )
+def _add_meta_flags(p: argparse.ArgumentParser) -> None:
+    """The fixed (non-searched) settings that search and train share."""
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--meta-iterations", type=int, default=MetaConfig.meta_iterations)
+    p.add_argument("--shots", type=int, default=MetaConfig.shots)
+    p.add_argument("--finetune-steps", type=int, default=MetaConfig.finetune_steps)
+    p.add_argument("--inner-steps", type=int, default=MetaConfig.inner_steps)
 
 
-def _settings(args) -> EvalSettings:
-    return EvalSettings(
-        meta_iterations=args.meta_iterations,
-        tasks_per_iter=None,
-        shots=args.shots,
-        finetune_steps=args.finetune_steps,
-        inner_steps=args.inner_steps,
-    )
+def _meta_config(args, **chosen) -> MetaConfig:
+    """The run's settings from the shared flags; ``chosen`` fixes the
+    learning rates and optimizer where the command takes them as flags."""
+    with _usage_errors():
+        return MetaConfig(
+            meta_iterations=args.meta_iterations,
+            shots=args.shots,
+            finetune_steps=args.finetune_steps,
+            inner_steps=args.inner_steps,
+            **chosen,
+        )
 
 
 def _write_scores(out_dir: Path, rows: list[tuple[int, float]]) -> None:
@@ -185,20 +191,22 @@ def cmd_search(args, argv) -> int:
     seeds = args.seed if isinstance(args.seed, list) else [args.seed]
     if args.budget < 1:
         raise UsageError(f"--budget must be >= 1, got {args.budget}")
+    settings = _meta_config(args)
+    with _usage_errors():
+        space = build_search_space(
+            args.family,
+            grid_resolution=args.grid_resolution,
+            kappa=args.kappa,
+            c_uct=args.c_uct,
+            include_shots_level=args.search_shots,
+        )
     out = _out_dir(args)
-    space = build_search_space(
-        args.family,
-        grid_resolution=args.grid_resolution,
-        kappa=args.kappa,
-        c_uct=args.c_uct,
-        include_shots_level=args.search_shots,
-    )
     train_series, target = _load_series_dir(Path(args.data))
     scores = []
     for seed in seeds:
         bundle = build_bundle(train_series, target, window=args.window, seed=seed)
         start = time.perf_counter()
-        best, trajectory = search(space, bundle, args.budget, seed, settings=_settings(args))
+        best, trajectory = search(space, bundle, args.budget, seed, settings=settings)
         total_ms = (time.perf_counter() - start) * 1000.0
         seed_dir = out / f"seed_{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
@@ -237,8 +245,14 @@ def cmd_search(args, argv) -> int:
 
 
 def cmd_train(args, argv) -> int:
-    config = _pipeline_config(args)
-    settings = _settings(args)
+    low, high = min(WIDTH_OPTIONS), max(WIDTH_OPTIONS)
+    if args.family != "linear" and not low <= args.width <= high:
+        raise UsageError(f"--width must lie in [{low}, {high}], got {args.width}")
+    if args.train_steps is not None and args.train_steps < 1:
+        raise UsageError(f"--train-steps must be >= 1, got {args.train_steps}")
+    chosen = dict(inner_lr=args.inner_lr, outer_lr=args.outer_lr, finetune_lr=args.finetune_lr, optimizer=args.optimizer)
+    settings = _meta_config(args, **chosen)
+    config = PipelineConfig(family=args.family, width=1 if args.family == "linear" else args.width, **chosen)
     out = _out_dir(args)
     train_series, target = _load_series_dir(Path(args.data), require_train=not args.vanilla)
     seeds = args.seed if isinstance(args.seed, list) else [args.seed]
@@ -250,16 +264,15 @@ def cmd_train(args, argv) -> int:
         seed_dir.mkdir(parents=True, exist_ok=True)
         extra = {"target_norm": list(bundle.target_norm or ()), "window": bundle.window}
         if args.vanilla:
-            steps = args.train_steps or total_gradient_steps(
-                _meta_cfg(config, settings), max(1, len(bundle.train_tasks))
-            )
-            theta = train_vanilla(
-                spec, bundle.validation, config.finetune_lr, config.optimizer, steps, seed
-            )
+            steps = args.train_steps
+            if steps is None:
+                steps = total_gradient_steps(settings, max(1, len(bundle.train_tasks)))
+            theta0 = init_params(spec, derive_seed(seed, "vanilla-init"))
+            theta = fine_tune(spec, theta0, bundle.validation, settings.finetune_lr, steps, settings.optimizer)
             if not np.all(np.isfinite(theta)):
                 raise NumericError("vanilla training diverged to non-finite parameters")
-            val_mse = evaluate_params(spec, theta, bundle.validation)
-            test_mse = evaluate_params(spec, theta, bundle.test)
+            val_mse = loss(spec, theta, bundle.validation, average=True)
+            test_mse = loss(spec, theta, bundle.test, average=True)
             save_params(seed_dir / "model.params", spec, theta, extra)
             result = {"vanilla": True, "train_steps": steps, "train_curve": []}
         else:
@@ -269,7 +282,7 @@ def cmd_train(args, argv) -> int:
             save_params(seed_dir / "meta_init.params", spec, meta_result.theta_meta, extra)
             result = {
                 "vanilla": False,
-                "train_steps": total_gradient_steps(_meta_cfg(config, settings), len(bundle.train_tasks)),
+                "train_steps": total_gradient_steps(settings, len(bundle.train_tasks)),
                 "train_curve": [[it, value] for it, value in meta_result.train_curve],
             }
         result.update(
@@ -280,20 +293,6 @@ def cmd_train(args, argv) -> int:
     _write_scores(out, scores)
     _write_manifest(out, "train", argv, {"vanilla": args.vanilla, "seeds": seeds})
     return 0
-
-
-def _meta_cfg(config: PipelineConfig, settings: EvalSettings) -> MetaConfig:
-    return MetaConfig(
-        inner_lr=config.inner_lr,
-        outer_lr=config.outer_lr,
-        finetune_lr=config.finetune_lr,
-        optimizer=config.optimizer,
-        tasks_per_iter=settings.tasks_per_iter,
-        shots=settings.shots,
-        meta_iterations=settings.meta_iterations,
-        finetune_steps=settings.finetune_steps,
-        inner_steps=settings.inner_steps,
-    )
 
 
 def cmd_predict(args, argv) -> int:
@@ -379,37 +378,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     srch = sub.add_parser("search", help="MCTS over pipeline configurations")
     srch.add_argument("--data", required=True, help="directory produced by generate")
-    srch.add_argument("--family", choices=("linear", "mlp", "recurrent"), required=True)
+    srch.add_argument("--family", choices=FAMILIES, required=True)
     srch.add_argument("--budget", type=int, default=100)
     srch.add_argument("--seed", type=int, nargs="+", default=None)
     srch.add_argument("--out", required=True)
     srch.add_argument("--grid-resolution", type=int, default=8)
     srch.add_argument("--kappa", type=float, default=0.5)
     srch.add_argument("--c-uct", type=float, default=1.0)
-    srch.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    srch.add_argument("--meta-iterations", type=int, default=50)
-    srch.add_argument("--shots", type=int, default=10)
-    srch.add_argument("--finetune-steps", type=int, default=1)
-    srch.add_argument("--inner-steps", type=int, default=1)
+    _add_meta_flags(srch)
     srch.add_argument("--search-shots", action="store_true", help="add shots as a sixth decision level")
     add_config_flag(srch)
     srch.set_defaults(func=cmd_search)
 
     trn = sub.add_parser("train", help="train one fixed pipeline (or a vanilla baseline)")
     trn.add_argument("--data", required=True)
-    trn.add_argument("--family", choices=("linear", "mlp", "recurrent"), required=True)
+    trn.add_argument("--family", choices=FAMILIES, required=True)
     trn.add_argument("--width", type=int, default=512)
-    trn.add_argument("--inner-lr", type=float, default=0.01)
-    trn.add_argument("--outer-lr", type=float, default=0.001)
-    trn.add_argument("--finetune-lr", type=float, default=0.05)
-    trn.add_argument("--optimizer", choices=OPTIMIZERS, default="sgd")
+    trn.add_argument("--inner-lr", type=float, default=MetaConfig.inner_lr)
+    trn.add_argument("--outer-lr", type=float, default=MetaConfig.outer_lr)
+    trn.add_argument("--finetune-lr", type=float, default=MetaConfig.finetune_lr)
+    trn.add_argument("--optimizer", choices=OPTIMIZERS, default=MetaConfig.optimizer)
     trn.add_argument("--seed", type=int, nargs="+", default=None)
     trn.add_argument("--out", required=True)
-    trn.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    trn.add_argument("--meta-iterations", type=int, default=50)
-    trn.add_argument("--shots", type=int, default=10)
-    trn.add_argument("--finetune-steps", type=int, default=1)
-    trn.add_argument("--inner-steps", type=int, default=1)
+    _add_meta_flags(trn)
     trn.add_argument("--vanilla", action="store_true", help="skip meta-training; fit the validation slice only")
     trn.add_argument("--train-steps", type=int, default=None, help="vanilla step budget (default: match the meta run)")
     add_config_flag(trn)
@@ -444,12 +435,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _apply_config_file(args, argv)
+        if args.config:
+            args = parser.parse_args(_config_argv(args, argv))
         _require_seed(args)
         return args.func(args, argv)
+    except SystemExit as exc:  # argparse has printed its usage message
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -197,8 +197,7 @@ def loss(spec: LearnerSpec, theta: np.ndarray, data: list[WindowPair], average: 
     """
     X, y = pairs_to_arrays(data)
     residuals = forward(spec, theta, X) - y
-    total = float(residuals @ residuals)
-    return total / len(data) if average else total
+    return float(np.mean(residuals**2)) if average else float(residuals @ residuals)
 
 
 def gradient(spec: LearnerSpec, theta: np.ndarray, data: list[WindowPair], average: bool = False) -> np.ndarray:

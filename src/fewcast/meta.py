@@ -17,16 +17,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataBundle, TaskDataset, WindowPair, pairs_to_arrays
+from .data import DataBundle, TaskDataset, WindowPair
 from .learners import (
     LearnerSpec,
     NumericError,
     OPTIMIZERS,
-    forward,
     gradient,
     init_optimizer,
     init_params,
@@ -40,16 +39,18 @@ LR_MIN, LR_MAX = 1e-4, 0.5
 
 @dataclass(frozen=True)
 class MetaConfig:
-    """Hyperparameters of one meta-training run.
+    """Hyperparameters of one lower-level run, validated on construction.
 
+    The learning rates and optimizer default to the fixed-default baseline;
+    a searched configuration replaces them (see ``_meta_config_for``).
     ``tasks_per_iter=None`` uses every source task each iteration; ``shots``
     is the number of support and query instances sampled per task per
     episode (a task pool smaller than that is used whole).
     """
 
-    inner_lr: float
-    outer_lr: float
-    finetune_lr: float
+    inner_lr: float = 0.01
+    outer_lr: float = 0.001
+    finetune_lr: float = 0.05
     optimizer: str = "sgd"
     tasks_per_iter: int | None = None
     shots: int = 10
@@ -139,17 +140,6 @@ class EvaluationRecord:
         if include_timing:
             payload["wall_time_ms"] = self.wall_time_ms
         return json.dumps(payload, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class EvalSettings:
-    """Fixed (non-searched) knobs of a pipeline evaluation."""
-
-    meta_iterations: int = 50
-    tasks_per_iter: int | None = None
-    shots: int = 10
-    finetune_steps: int = 1
-    inner_steps: int = 1
 
 
 def inner_adapt(
@@ -263,32 +253,6 @@ def fine_tune(
     return theta
 
 
-def train_vanilla(
-    spec: LearnerSpec,
-    validation: list[WindowPair],
-    lr: float,
-    optimizer: str,
-    steps: int,
-    seed: int,
-) -> np.ndarray:
-    """Baseline without meta-training: fit from scratch on the validation slice."""
-    if not validation:
-        raise ValueError("validation set is empty")
-    theta = init_params(spec, derive_seed(seed, "vanilla-init"))
-    state = init_optimizer(optimizer, theta.size)
-    for _ in range(steps):
-        grad = gradient(spec, theta, validation, average=True)
-        theta, state = optimizer_step(state, theta, grad, lr)
-    return theta
-
-
-def evaluate_params(spec: LearnerSpec, theta: np.ndarray, pairs: list[WindowPair]) -> float:
-    """Mean squared one-step-ahead error of ``theta`` on ``pairs``."""
-    X, y = pairs_to_arrays(pairs)
-    residuals = forward(spec, theta, X) - y
-    return float(np.mean(residuals**2))
-
-
 def total_gradient_steps(cfg: MetaConfig, n_train_tasks: int) -> int:
     """Parameter updates a full meta run performs (inner + outer + fine-tune);
     used to grant baselines an equal step budget."""
@@ -296,17 +260,14 @@ def total_gradient_steps(cfg: MetaConfig, n_train_tasks: int) -> int:
     return cfg.meta_iterations * (n_pick * cfg.inner_steps + 1) + cfg.finetune_steps
 
 
-def _meta_config_for(config: PipelineConfig, settings: EvalSettings) -> MetaConfig:
-    return MetaConfig(
+def _meta_config_for(config: PipelineConfig, settings: MetaConfig) -> MetaConfig:
+    return replace(
+        settings,
         inner_lr=config.inner_lr,
         outer_lr=config.outer_lr,
         finetune_lr=config.finetune_lr,
         optimizer=config.optimizer,
-        tasks_per_iter=settings.tasks_per_iter,
         shots=config.shots if config.shots is not None else settings.shots,
-        meta_iterations=settings.meta_iterations,
-        finetune_steps=settings.finetune_steps,
-        inner_steps=settings.inner_steps,
     )
 
 
@@ -314,7 +275,7 @@ def train_pipeline(
     config: PipelineConfig,
     bundle: DataBundle,
     seed: int,
-    settings: EvalSettings = EvalSettings(),
+    settings: MetaConfig = MetaConfig(),
 ) -> tuple[MetaResult, float]:
     """Run the full lower level for one configuration.
 
@@ -328,8 +289,8 @@ def train_pipeline(
         theta_final = fine_tune(
             spec, theta_meta, bundle.validation, cfg.finetune_lr, cfg.finetune_steps, cfg.optimizer
         )
-        val_mse = evaluate_params(spec, theta_final, bundle.validation)
-        test_mse = evaluate_params(spec, theta_final, bundle.test)
+        val_mse = loss(spec, theta_final, bundle.validation, average=True)
+        test_mse = loss(spec, theta_final, bundle.test, average=True)
     if not (math.isfinite(val_mse) and math.isfinite(test_mse)):
         raise NumericError("evaluation produced a non-finite mean squared error")
     return MetaResult(theta_meta, theta_final, val_mse, curve), test_mse
@@ -339,17 +300,17 @@ def evaluate_pipeline(
     config: PipelineConfig,
     bundle: DataBundle,
     seed: int,
-    settings: EvalSettings = EvalSettings(),
+    settings: MetaConfig = MetaConfig(),
     iteration: int = -1,
 ) -> EvaluationRecord:
-    """Evaluate one configuration end to end; failures become reward-0 records
-    rather than exceptions so the upper-level search survives divergent
-    learning rates."""
+    """Evaluate one configuration end to end; numeric divergence becomes a
+    reward-0 record rather than an exception so the upper-level search
+    survives divergent learning rates. Any other error propagates."""
     start = time.perf_counter()
     try:
         result, test_mse = train_pipeline(config, bundle, seed, settings)
         val_mse, status = result.val_mse, "ok"
-    except (NumericError, FloatingPointError, OverflowError, ValueError):
+    except (NumericError, FloatingPointError, OverflowError):
         val_mse, test_mse, status = None, None, "failed"
     wall_ms = (time.perf_counter() - start) * 1000.0
     return EvaluationRecord(

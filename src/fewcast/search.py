@@ -17,13 +17,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .meta import EvalSettings, EvaluationRecord, PipelineConfig, evaluate_pipeline
+from .learners import OPTIMIZERS
+from .meta import LR_MAX, LR_MIN, EvaluationRecord, MetaConfig, PipelineConfig, evaluate_pipeline
 from .rng import derive_seed, spawn
 from .stats import best_so_far
 
 WIDTH_OPTIONS = (128, 256, 384, 512, 640, 768, 896, 1024)
-LR_MIN, LR_MAX = 1e-4, 0.5
-OPTIMIZER_OPTIONS = ("sgd", "adam", "rmsprop", "adadelta", "adagrad")
 SHOT_OPTIONS = (1, 5, 10, 20)
 
 
@@ -71,7 +70,7 @@ def build_search_space(
         Level("inner_lr", grid),
         Level("outer_lr", grid),
         Level("finetune_lr", grid),
-        Level("optimizer", OPTIMIZER_OPTIONS),
+        Level("optimizer", OPTIMIZERS),
     ]
     if include_shots_level:
         levels.append(Level("shots", SHOT_OPTIONS))
@@ -245,13 +244,13 @@ def search(
     budget: int,
     seed: int,
     evaluator=None,
-    settings: EvalSettings = EvalSettings(),
+    settings: MetaConfig = MetaConfig(),
 ) -> tuple[PipelineConfig | None, SearchTrajectory]:
     """Run ``budget`` select/expand/rollout/evaluate/backpropagate iterations.
 
     Returns the config of the record with the lowest test MSE (None when
     every evaluation failed) and the full trajectory. Deterministic per seed;
-    evaluator failures become reward-0 records, never exceptions.
+    failed evaluations earn reward 0.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -279,7 +278,7 @@ def random_search(
     budget: int,
     seed: int,
     evaluator=None,
-    settings: EvalSettings = EvalSettings(),
+    settings: MetaConfig = MetaConfig(),
 ) -> tuple[PipelineConfig | None, SearchTrajectory]:
     """Uniform sampling baseline with the same record/trajectory contract."""
     if budget < 1:

@@ -22,17 +22,15 @@ from fewcast.data import (
 )
 from fewcast.learners import LearnerSpec, gradient, init_params, loss, n_params
 from fewcast.meta import (
-    EvalSettings,
     EvaluationRecord,
     MetaConfig,
     PipelineConfig,
     evaluate_pipeline,
-    evaluate_params,
     fine_tune,
     meta_train,
     total_gradient_steps,
-    train_vanilla,
 )
+from fewcast.rng import derive_seed
 from fewcast.search import build_search_space, random_search, search, space_size
 from fewcast.stats import a12, categorize_a12, wilcoxon_signed_rank
 
@@ -140,15 +138,16 @@ def mlp_medians():
             bundle = default_bundle(seed)
             theta_meta, _ = meta_train(spec, cfg, bundle.train_tasks, seed=seed)
             theta = fine_tune(spec, theta_meta, bundle.validation, cfg.finetune_lr, n_g, "sgd")
-            scores.append(evaluate_params(spec, theta, bundle.test))
+            scores.append(loss(spec, theta, bundle.test, average=True))
         by_ng[n_g] = float(np.median(scores))
     cfg = MetaConfig(**MLP_CONFIG, meta_iterations=META_ITERATIONS, finetune_steps=1)
     steps = total_gradient_steps(cfg, 4)
     vanilla_scores = []
     for seed in SEED_LATTICE:
         bundle = default_bundle(seed)
-        theta = train_vanilla(spec, bundle.validation, cfg.finetune_lr, "sgd", steps, seed)
-        vanilla_scores.append(evaluate_params(spec, theta, bundle.test))
+        theta0 = init_params(spec, derive_seed(seed, "vanilla-init"))
+        theta = fine_tune(spec, theta0, bundle.validation, cfg.finetune_lr, steps, "sgd")
+        vanilla_scores.append(loss(spec, theta, bundle.test, average=True))
     return {
         "by_ng": by_ng,
         "vanilla": float(np.median(vanilla_scores)),
@@ -187,7 +186,7 @@ def test_criterion_05_search_beats_fixed_defaults():
         family="linear", width=1, inner_lr=0.01, outer_lr=0.001, finetune_lr=0.05, optimizer="sgd"
     )
     space = build_search_space("linear", grid_resolution=8)
-    settings = EvalSettings(meta_iterations=META_ITERATIONS)
+    settings = MetaConfig(meta_iterations=META_ITERATIONS)
     searched, baseline = [], []
     for seed in range(5):
         series = generate_synthetic_tasks("synthetic", 5, 168, seed=200 + seed)
@@ -259,7 +258,7 @@ def test_criterion_06_mcts_vs_random_search():
 def test_criterion_07_plateau_behavior():
     start = time.perf_counter()
     space = build_search_space("linear", grid_resolution=8)
-    settings = EvalSettings(meta_iterations=META_ITERATIONS)
+    settings = MetaConfig(meta_iterations=META_ITERATIONS)
     rels = []
     for seed in range(3):
         series = generate_synthetic_tasks("synthetic", 5, 168, seed=300 + seed)

@@ -93,6 +93,28 @@ class TestSearch:
                    "--seed", 1, "--out", tmp_path / "x") == 3
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("search", ["--shots", 0]),
+        ("search", ["--meta-iterations", -1]),
+        ("search", ["--kappa", 1.5]),
+        ("search", ["--grid-resolution", 1]),
+        ("search", ["--c-uct", 0]),
+        ("train", ["--shots", 0]),
+        ("train", ["--finetune-steps", 0]),
+        ("train", ["--vanilla", "--train-steps", 0]),
+        ("train", ["--vanilla", "--train-steps", -5]),
+    ],
+)
+def test_invalid_setting_is_usage_error_before_any_work(command, flags, data_dir, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(command, "--data", data_dir, "--family", "linear", "--seed", 1, "--out", out, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestTrain:
     def test_fixed_defaults_accepted_verbatim(self, data_dir, tmp_path):
         # width 512, rates 0.01 / 0.001 / 0.05, sgd
@@ -127,6 +149,15 @@ class TestTrain:
         result = json.loads((out / "seed_2" / "result.json").read_text())
         assert result["vanilla"] is True
         assert not (out / "seed_2" / "meta_init.params").exists()
+
+    def test_vanilla_train_steps_default_and_explicit(self, data_dir, tmp_path):
+        steps = {}
+        for name, extra in (("default", []), ("explicit", ["--train-steps", 3])):
+            out = tmp_path / name
+            assert run("train", "--data", data_dir, "--family", "linear", "--vanilla", "--finetune-lr", 0.01,
+                       "--seed", 2, "--out", out, *FAST, *extra) == 0
+            steps[name] = json.loads((out / "seed_2" / "result.json").read_text())["train_steps"]
+        assert steps == {"default": 5 * (4 + 1) + 1, "explicit": 3}  # default: the meta run's step count
 
     def test_same_seed_identical_checkpoints(self, data_dir, tmp_path):
         outs = []
@@ -207,6 +238,25 @@ class TestConfigFile:
         out = tmp_path / "gen"
         assert run("generate", "--config", cfg, "--tasks", 3, "--out", out) == 0
         assert json.loads((out / "manifest.json").read_text())["tasks"] == 3
+
+    @pytest.mark.parametrize("flag_form", [["--budget", 2], ["--budget=2"]])
+    def test_explicit_flag_beats_config_in_either_form(self, flag_form, data_dir, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"budget": 4, "seed": 1}))
+        out = tmp_path / "s"
+        assert run("search", "--config", cfg, "--data", data_dir, "--family", "linear", "--out", out,
+                   *flag_form, *FAST) == 0
+        assert len((out / "seed_1" / "trajectory.jsonl").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "overrides", [{"budget": "many"}, {"budget": 2.5}, {"family": "cnn"}, {"search_shots": "yes"}]
+    )
+    def test_mistyped_value_usage_error(self, overrides, data_dir, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"seed": 1, **overrides}))
+        assert run("search", "--config", cfg, "--data", data_dir, "--family", "linear",
+                   "--out", tmp_path / "x") == 2
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_key_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.json"

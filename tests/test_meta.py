@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from fewcast import meta
 from fewcast.data import TaskDataset, WindowPair, build_bundle, generate_synthetic_tasks, normalize
-from fewcast.learners import LearnerSpec, init_optimizer, init_params
+from fewcast.learners import LearnerSpec, init_optimizer, init_params, loss
 from fewcast.meta import (
-    EvalSettings,
     MetaConfig,
     PipelineConfig,
-    evaluate_params,
     evaluate_pipeline,
     fine_tune,
     inner_adapt,
@@ -17,6 +16,7 @@ from fewcast.meta import (
     total_gradient_steps,
     train_pipeline,
 )
+from fewcast.search import build_search_space, search
 
 LINEAR_1D = LearnerSpec("linear", input_dim=1)
 
@@ -198,11 +198,11 @@ class TestFineTune:
                 for _ in range(12)
             ]
             theta = init_params(spec, seed=seed) + 0.5 * rng.standard_normal(dim + 1)
-            losses = [evaluate_params(spec, theta, validation)]
+            losses = [loss(spec, theta, validation, average=True)]
             current = theta
             for _ in range(10):
                 current = fine_tune(spec, current, validation, finetune_lr=1e-3, steps=1)
-                losses.append(evaluate_params(spec, current, validation))
+                losses.append(loss(spec, current, validation, average=True))
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_steps_validated(self):
@@ -238,6 +238,16 @@ class TestEvaluatePipeline:
         assert record.status == "failed"
         assert record.val_mse is None and record.test_mse is None
 
+    def test_programming_error_propagates_out_of_search(self, monkeypatch):
+        # only numeric divergence may become a reward-0 record
+        def broken(*args, **kwargs):
+            raise ValueError("shape bug")
+
+        monkeypatch.setattr(meta, "fine_tune", broken)
+        bundle, _ = synthetic_bundle()
+        with pytest.raises(ValueError, match="shape bug"):
+            search(build_search_space("linear"), bundle, budget=1, seed=0, settings=MetaConfig(meta_iterations=1))
+
     def test_beats_predict_the_mean(self):
         # Oracle: the predict-the-mean baseline scores exactly the series
         # variance; a trained pipeline must do better. The minimum learning
@@ -248,21 +258,21 @@ class TestEvaluatePipeline:
             self.config(inner_lr=1e-4, outer_lr=1e-4, finetune_lr=1e-4),
             bundle,
             seed=7,
-            settings=EvalSettings(meta_iterations=400),
+            settings=MetaConfig(meta_iterations=400),
         )
         assert record.status == "ok"
         assert record.test_mse < variance
 
     def test_train_pipeline_result_fields(self):
         bundle, _ = synthetic_bundle()
-        result, test_mse = train_pipeline(self.config(), bundle, seed=2, settings=EvalSettings(meta_iterations=4))
+        result, test_mse = train_pipeline(self.config(), bundle, seed=2, settings=MetaConfig(meta_iterations=4))
         assert len(result.train_curve) == 4
         assert result.val_mse >= 0.0 and test_mse >= 0.0
         assert result.theta_meta.shape == result.theta_final.shape
 
     def test_config_shots_overrides_settings(self):
         bundle, _ = synthetic_bundle()
-        settings = EvalSettings(meta_iterations=3, shots=10)
+        settings = MetaConfig(meta_iterations=3, shots=10)
         with_shots = evaluate_pipeline(self.config(shots=1), bundle, seed=4, settings=settings)
         without = evaluate_pipeline(self.config(), bundle, seed=4, settings=settings)
         assert with_shots.status == without.status == "ok"
