@@ -12,6 +12,7 @@ from .data import (
     TaskDataset,
     TimeSeries,
     WindowPair,
+    Windows,
     build_bundle,
     generate_synthetic_tasks,
     load_csv,
@@ -29,6 +30,7 @@ from .learners import (
     loss,
     optimizer_step,
     predict,
+    value_and_grad,
 )
 from .meta import (
     EvaluationRecord,
@@ -38,7 +40,6 @@ from .meta import (
     evaluate_pipeline,
     fine_tune,
     inner_adapt,
-    meta_loss,
     meta_train,
     outer_step,
 )

@@ -135,6 +135,8 @@ def _add_meta_flags(p: argparse.ArgumentParser) -> None:
 def _meta_config(args, **chosen) -> MetaConfig:
     """The run's settings from the shared flags; ``chosen`` fixes the
     learning rates and optimizer where the command takes them as flags."""
+    if args.window < 1:
+        raise UsageError(f"--window must be >= 1, got {args.window}")
     with _usage_errors():
         return MetaConfig(
             meta_iterations=args.meta_iterations,
@@ -268,11 +270,13 @@ def cmd_train(args, argv) -> int:
             if steps is None:
                 steps = total_gradient_steps(settings, max(1, len(bundle.train_tasks)))
             theta0 = init_params(spec, derive_seed(seed, "vanilla-init"))
-            theta = fine_tune(spec, theta0, bundle.validation, settings.finetune_lr, steps, settings.optimizer)
-            if not np.all(np.isfinite(theta)):
-                raise NumericError("vanilla training diverged to non-finite parameters")
-            val_mse = loss(spec, theta, bundle.validation, average=True)
-            test_mse = loss(spec, theta, bundle.test, average=True)
+            # As in train_pipeline: divergence ends in one NumericError, not numpy warnings.
+            with np.errstate(all="ignore"):
+                theta = fine_tune(spec, theta0, bundle.validation, settings.finetune_lr, steps, settings.optimizer)
+                if not np.all(np.isfinite(theta)):
+                    raise NumericError("vanilla training diverged to non-finite parameters")
+                val_mse = loss(spec, theta, bundle.validation, average=True)
+                test_mse = loss(spec, theta, bundle.test, average=True)
             save_params(seed_dir / "model.params", spec, theta, extra)
             result = {"vanilla": True, "train_steps": steps, "train_curve": []}
         else:
@@ -296,6 +300,8 @@ def cmd_train(args, argv) -> int:
 
 
 def cmd_predict(args, argv) -> int:
+    if args.horizon < 1:
+        raise UsageError(f"--horizon must be >= 1, got {args.horizon}")
     checkpoint = Path(args.checkpoint)
     if checkpoint.is_dir():
         checkpoint = checkpoint / "model.params"

@@ -31,6 +31,10 @@ class EmptyInputError(ValueError):
     """A data source contained no rows."""
 
 
+class ShortSeriesError(EmptyInputError):
+    """A series holds too few values for the requested windows or slices."""
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """One task's raw hourly measurements.
@@ -54,13 +58,55 @@ class WindowPair:
     y: float
 
 
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """A set of window pairs stored as stacked arrays: row ``i`` of ``X``
+    holds the lags preceding ``y[i]``.
+
+    Indexing with a slice or an index array gives another ``Windows``; an int
+    index, or iteration, gives :class:`WindowPair` rows. Both arrays are made
+    read-only, because every evaluation of a search shares one bundle.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        if self.X.ndim != 2 or self.y.shape != self.X.shape[:1]:
+            raise ValueError(f"inputs {self.X.shape} and targets {self.y.shape} do not form window pairs")
+        self.X.flags.writeable = False
+        self.y.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return WindowPair(x=self.X[index], y=float(self.y[index]))
+        return Windows(self.X[index], self.y[index])
+
+    def __iter__(self):
+        return (WindowPair(x=x, y=float(y)) for x, y in zip(self.X, self.y))
+
+
+def _as_windows(pairs: Windows | list[WindowPair]) -> Windows:
+    return pairs if isinstance(pairs, Windows) else Windows(*pairs_to_arrays(pairs))
+
+
 @dataclass(frozen=True)
 class TaskDataset:
-    """One task's episode pools: disjoint support and query pair sets."""
+    """One task's episode pools: disjoint support and query pair sets.
+
+    A list of pairs given for a pool is stacked into :class:`Windows` here.
+    """
 
     task_id: str
-    support: list[WindowPair]
-    query: list[WindowPair]
+    support: Windows
+    query: Windows
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", _as_windows(self.support))
+        object.__setattr__(self, "query", _as_windows(self.query))
 
 
 @dataclass(frozen=True)
@@ -73,11 +119,15 @@ class DataBundle:
     """
 
     train_tasks: list[TaskDataset]
-    validation: list[WindowPair]
-    test: list[WindowPair]
+    validation: Windows
+    test: Windows
     target_id: str
     target_norm: tuple[float, float] | None
     window: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "validation", _as_windows(self.validation))
+        object.__setattr__(self, "test", _as_windows(self.test))
 
 
 # Per-kind sampling ranges for the synthetic family: amplitude, phase (hours),
@@ -160,33 +210,37 @@ def denormalize(values: np.ndarray, norm: tuple[float, float]) -> np.ndarray:
     return np.asarray(values, dtype=np.float64) * (hi - lo) + lo
 
 
-def make_windows(series: TimeSeries, window: int) -> list[WindowPair]:
+def make_windows(series: TimeSeries, window: int) -> Windows:
     """All (lags, next value) pairs in temporal order; exactly len - window of them."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     n = series.values.size
     if n < window + 1:
-        raise ValueError(f"series {series.task_id!r} has {n} values; needs at least {window + 1}")
+        raise ShortSeriesError(f"series {series.task_id!r} has {n} values; needs at least {window + 1}")
     values = series.values
-    return [WindowPair(x=values[i : i + window].copy(), y=float(values[i + window])) for i in range(n - window)]
+    lags = np.lib.stride_tricks.sliding_window_view(values, window)[:-1].copy()
+    return Windows(lags, values[window:].astype(np.float64))
 
 
-def split_support_query(pairs: list[WindowPair], seed: int, task_id: str = "") -> TaskDataset:
+def split_support_query(pairs: Windows | list[WindowPair], seed: int, task_id: str = "") -> TaskDataset:
     """Seeded uniform split with |support| = round(0.8 * n)."""
     n = len(pairs)
     if n < 2:
-        raise ValueError(f"need at least 2 pairs to split, got {n}")
+        raise ShortSeriesError(f"need at least 2 pairs to split, got {n}")
+    pairs = _as_windows(pairs)
     n_support = round(SUPPORT_FRACTION * n)
     order = spawn(seed, "support-query").permutation(n)
-    support = [pairs[int(i)] for i in sorted(order[:n_support])]
-    query = [pairs[int(i)] for i in sorted(order[n_support:])]
-    return TaskDataset(task_id=task_id, support=support, query=query)
+    support, query = np.sort(order[:n_support]), np.sort(order[n_support:])
+    return TaskDataset(task_id=task_id, support=pairs[support], query=pairs[query])
 
 
-def pairs_to_arrays(pairs: list[WindowPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack pairs into (X, y) arrays of shape (n, w) and (n,)."""
+def pairs_to_arrays(pairs: Windows | list[WindowPair]) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) arrays of shape (n, w) and (n,): a :class:`Windows`'s own
+    arrays, or a list of pairs stacked."""
     if not pairs:
         raise ValueError("empty pair sequence")
+    if isinstance(pairs, Windows):
+        return pairs.X, pairs.y
     X = np.stack([p.x for p in pairs])
     y = np.array([p.y for p in pairs], dtype=np.float64)
     return X, y
@@ -205,13 +259,15 @@ def build_bundle(
     capped so it stays disjoint) and a trailing test slice of up to
     ``test_horizon`` targets.
     """
+    if test_horizon < 1:
+        raise ValueError(f"test_horizon must be >= 1, got {test_horizon}")
     if any(s.task_id == target_series.task_id for s in train_series):
         raise ValueError(f"target task id {target_series.task_id!r} also appears in the training tasks")
     target = normalize(target_series)
     target_pairs = make_windows(target, window)
     n = len(target_pairs)
     if n < 2:
-        raise ValueError("target series too short to carve validation and test slices")
+        raise ShortSeriesError("target series too short to carve validation and test slices")
     n_test = min(test_horizon, n - 1)
     n_val = min(round(SUPPORT_FRACTION * n), n - n_test)
     tasks = []

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import WindowPair, pairs_to_arrays
+from .data import WindowPair, Windows, pairs_to_arrays
 from .rng import spawn
 
 FAMILIES = ("linear", "mlp", "recurrent")
@@ -189,7 +189,7 @@ def predict(spec: LearnerSpec, theta: np.ndarray, x: np.ndarray) -> float:
     return float(forward(spec, theta, x[None, :])[0])
 
 
-def loss(spec: LearnerSpec, theta: np.ndarray, data: list[WindowPair], average: bool = False) -> float:
+def loss(spec: LearnerSpec, theta: np.ndarray, data: Windows | list[WindowPair], average: bool = False) -> float:
     """Squared-error loss: summed by default, averaged when ``average`` is set.
 
     The summed form feeds meta-training; the averaged form is the reported
@@ -200,40 +200,63 @@ def loss(spec: LearnerSpec, theta: np.ndarray, data: list[WindowPair], average: 
     return float(np.mean(residuals**2)) if average else float(residuals @ residuals)
 
 
-def gradient(spec: LearnerSpec, theta: np.ndarray, data: list[WindowPair], average: bool = False) -> np.ndarray:
+def value_and_grad(
+    spec: LearnerSpec, theta: np.ndarray, data: Windows | list[WindowPair], average: bool = False
+) -> tuple[float, np.ndarray]:
+    """:func:`loss` and :func:`gradient` together, from one forward pass."""
+    X, y = pairs_to_arrays(data)
+    residuals, grad = _residuals_and_grad(spec, theta, X, y)
+    if average:
+        return float(np.mean(residuals**2)), grad / len(y)
+    return float(residuals @ residuals), grad
+
+
+def gradient(
+    spec: LearnerSpec, theta: np.ndarray, data: Windows | list[WindowPair], average: bool = False
+) -> np.ndarray:
     """Exact gradient of :func:`loss` with respect to the flat parameters."""
     X, y = pairs_to_arrays(data)
+    _, grad = _residuals_and_grad(spec, theta, X, y)
+    return grad / len(y) if average else grad
+
+
+def _residuals_and_grad(spec, theta, X, y):
     _check_theta(spec, theta)
     if spec.family == "linear":
-        grad = _grad_linear(spec, theta, X, y)
-    elif spec.family == "mlp":
-        grad = _grad_mlp(spec, theta, X, y)
-    else:
-        grad = _grad_recurrent(spec, theta, X, y)
-    return grad / len(data) if average else grad
+        return _grad_linear(spec, theta, X, y)
+    if spec.family == "mlp":
+        return _grad_mlp(spec, theta, X, y)
+    return _grad_recurrent(spec, theta, X, y)
+
+
+# Each _grad_<family> returns the residuals (forecast - y) of its forward
+# pass along with the gradient, so the loss needs no second forward pass.
 
 
 def _grad_linear(spec, theta, X, y):
-    dy = 2.0 * (_forward_linear(spec, theta, X) - y)
-    return np.concatenate([X.T @ dy, [dy.sum()]])
+    residuals = _forward_linear(spec, theta, X) - y
+    dy = 2.0 * residuals
+    return residuals, np.concatenate([X.T @ dy, [dy.sum()]])
 
 
 def _grad_mlp(spec, theta, X, y):
     _, _, v, _ = _unpack_mlp(spec, theta)
     yhat, hidden = _forward_mlp(spec, theta, X, want_cache=True)
-    dy = 2.0 * (yhat - y)
+    residuals = yhat - y
+    dy = 2.0 * residuals
     dv = hidden.T @ dy
     db2 = dy.sum()
     da = np.outer(dy, v) * (1.0 - hidden**2)
     dW1 = da.T @ X
     db1 = da.sum(axis=0)
-    return np.concatenate([dW1.ravel(), db1, dv, [db2]])
+    return residuals, np.concatenate([dW1.ravel(), db1, dv, [db2]])
 
 
 def _grad_recurrent(spec, theta, X, y):
     wz, Uz, bz, wr, Ur, br, wh, Uh, bh, v, c = _unpack_recurrent(spec, theta)
     yhat, h_final, steps = _forward_recurrent(spec, theta, X, want_cache=True)
-    dy = 2.0 * (yhat - y)
+    residuals = yhat - y
+    dy = 2.0 * residuals
 
     g_wz, g_Uz, g_bz = np.zeros_like(wz), np.zeros_like(Uz), np.zeros_like(bz)
     g_wr, g_Ur, g_br = np.zeros_like(wr), np.zeros_like(Ur), np.zeros_like(br)
@@ -271,7 +294,7 @@ def _grad_recurrent(spec, theta, X, y):
 
         dh = dh_prev
 
-    return np.concatenate(
+    return residuals, np.concatenate(
         [g_wz, g_Uz.ravel(), g_bz, g_wr, g_Ur.ravel(), g_br, g_wh, g_Uh.ravel(), g_bh, g_v, [g_c]]
     )
 

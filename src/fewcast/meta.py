@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataBundle, TaskDataset, WindowPair
+from .data import DataBundle, TaskDataset, WindowPair, Windows
 from .learners import (
     LearnerSpec,
     NumericError,
@@ -31,6 +31,7 @@ from .learners import (
     init_params,
     loss,
     optimizer_step,
+    value_and_grad,
 )
 from .rng import derive_seed, spawn
 
@@ -143,7 +144,7 @@ class EvaluationRecord:
 
 
 def inner_adapt(
-    spec: LearnerSpec, theta: np.ndarray, support: list[WindowPair], inner_lr: float, steps: int = 1
+    spec: LearnerSpec, theta: np.ndarray, support: Windows | list[WindowPair], inner_lr: float, steps: int = 1
 ) -> np.ndarray:
     """Task adaptation: plain gradient descent on the summed support loss."""
     if not support:
@@ -158,13 +159,6 @@ def inner_adapt(
     return adapted
 
 
-def meta_loss(spec: LearnerSpec, adapted: list[tuple[np.ndarray, list[WindowPair]]]) -> float:
-    """Sum over tasks of the summed query loss at the adapted parameters."""
-    if not adapted:
-        raise ValueError("no adapted tasks given")
-    return sum(loss(spec, theta, query) for theta, query in adapted)
-
-
 def outer_step(
     spec: LearnerSpec,
     theta: np.ndarray,
@@ -173,27 +167,29 @@ def outer_step(
     opt_state,
 ) -> tuple[np.ndarray, object, float]:
     """One meta-update: adapt per task, sum query gradients at the adapted
-    parameters, step the original parameters with the configured optimizer."""
+    parameters, step the original parameters with the configured optimizer.
+
+    Also returns the meta-loss: the sum over tasks of the summed query loss
+    at the adapted parameters."""
     if not tasks:
         raise ValueError("task batch is empty")
     total_grad = np.zeros_like(theta)
-    adapted = []
+    value = 0.0
     for task in tasks:
         theta_k = inner_adapt(spec, theta, task.support, cfg.inner_lr, cfg.inner_steps)
         if not task.query:
             raise ValueError(f"task {task.task_id!r} has an empty query set")
-        total_grad += gradient(spec, theta_k, task.query)
-        adapted.append((theta_k, task.query))
-    value = meta_loss(spec, adapted)
+        task_loss, task_grad = value_and_grad(spec, theta_k, task.query)
+        total_grad += task_grad
+        value += task_loss
     theta_new, opt_state = optimizer_step(opt_state, theta, total_grad, cfg.outer_lr)
     return theta_new, opt_state, value
 
 
-def _sample_pairs(pairs: list[WindowPair], k: int, rng) -> list[WindowPair]:
+def _sample_pairs(pairs: Windows, k: int, rng) -> Windows:
     if k >= len(pairs):
-        return list(pairs)
-    idx = rng.choice(len(pairs), size=k, replace=False)
-    return [pairs[int(i)] for i in idx]
+        return pairs
+    return pairs[rng.choice(len(pairs), size=k, replace=False)]
 
 
 def meta_train(
@@ -235,7 +231,7 @@ def meta_train(
 def fine_tune(
     spec: LearnerSpec,
     theta_meta: np.ndarray,
-    validation: list[WindowPair],
+    validation: Windows | list[WindowPair],
     finetune_lr: float,
     steps: int,
     optimizer: str = "sgd",

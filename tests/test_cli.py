@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fewcast
 from fewcast.cli import main
 from fewcast.data import write_csv, TimeSeries
 
@@ -115,6 +119,34 @@ def test_invalid_setting_is_usage_error_before_any_work(command, flags, data_dir
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def short_target_dir(data_dir, tmp_path_factory):
+    """The generated training tasks with a 19-value target: too short for 24 lags."""
+    out = tmp_path_factory.mktemp("short")
+    for path in data_dir.glob("train_*.csv"):
+        (out / path.name).write_bytes(path.read_bytes())
+    write_csv([TimeSeries(task_id="short-target", kind="synthetic", values=np.linspace(0.0, 1.0, 19))],
+              out / "target.csv")
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv, data, code",
+    [
+        (["search", "--family", "linear", "--budget", 1, "--seed", 1, "--window", 0], "data_dir", 2),
+        (["search", "--family", "linear", "--budget", 1, "--seed", 1, "--window", 500], "data_dir", 3),
+        (["train", "--family", "linear", "--seed", 1], "short_target_dir", 3),
+        (["predict", "--horizon", 0], "data_dir", 2),
+    ],
+)
+def test_window_and_horizon_probes_exit_with_one_line(argv, data, code, request, checkpoint, tmp_path, capsys):
+    if argv[0] == "predict":
+        argv = [*argv, "--checkpoint", checkpoint]
+    assert run(*argv, "--data", request.getfixturevalue(data), "--out", tmp_path / "x") == code
+    err = capsys.readouterr().err
+    assert err.startswith({2: "usage error: ", 3: "data error: "}[code]) and err.count("\n") == 1
+
+
 class TestTrain:
     def test_fixed_defaults_accepted_verbatim(self, data_dir, tmp_path):
         # width 512, rates 0.01 / 0.001 / 0.05, sgd
@@ -158,6 +190,18 @@ class TestTrain:
                        "--seed", 2, "--out", out, *FAST, *extra) == 0
             steps[name] = json.loads((out / "seed_2" / "result.json").read_text())["train_steps"]
         assert steps == {"default": 5 * (4 + 1) + 1, "explicit": 3}  # default: the meta run's step count
+
+    def test_diverging_vanilla_run_prints_one_line(self, data_dir, tmp_path):
+        # sgd at the default rates diverges at width 512: exit 4 with no numpy
+        # warnings. A child process, because pytest would capture the warnings.
+        env = dict(os.environ, PYTHONPATH=str(Path(fewcast.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fewcast", "train", "--data", str(data_dir), "--family", "mlp", "--width", "512",
+             "--vanilla", "--seed", "1", "--out", str(tmp_path / "v")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
 
     def test_same_seed_identical_checkpoints(self, data_dir, tmp_path):
         outs = []

@@ -5,6 +5,8 @@ from fewcast.data import (
     CsvError,
     EmptyInputError,
     TimeSeries,
+    WindowPair,
+    Windows,
     build_bundle,
     daily_phase_component,
     denormalize,
@@ -102,6 +104,24 @@ class TestWindows:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             make_windows(series([1.0, 2.0]), window=2)
+
+    def test_same_bytes_as_per_pair_construction(self):
+        values = np.random.default_rng(3).uniform(size=50)
+        w = 7
+        windows = make_windows(series(values), window=w)
+        X = np.stack([values[i : i + w].copy() for i in range(50 - w)])
+        y = np.array([float(values[i + w]) for i in range(50 - w)], dtype=np.float64)
+        assert windows.X.tobytes() == X.tobytes() and windows.X.shape == X.shape
+        assert windows.y.tobytes() == y.tobytes()
+
+    def test_indexing_and_iteration(self):
+        windows = make_windows(series(np.arange(10, dtype=float)), window=3)
+        assert isinstance(windows[1], WindowPair) and windows[1].y == 4.0
+        assert isinstance(windows[:4], Windows) and len(windows[:4]) == 4
+        picked = windows[np.array([5, 0])]
+        assert [p.y for p in picked] == [8.0, 3.0]
+        assert np.array_equal(picked.X, [[5.0, 6.0, 7.0], [0.0, 1.0, 2.0]])
+        assert [p.y for p in windows] == list(np.arange(3.0, 10.0))
 
     def test_reconstruction_property(self):
         # First lag of each window plus the trailing targets rebuilds the series.
@@ -215,6 +235,16 @@ class TestBundle:
         target = normalize(tasks[4])
         assert np.array_equal(test_ys, target.values[-24:])
         assert not val_ys & set(test_ys) or len(val_ys & set(test_ys)) < len(test_ys)
+
+    def test_arrays_read_only(self):
+        tasks = generate_synthetic_tasks("synthetic", 5, 168, seed=0)
+        bundle = build_bundle(tasks[:4], tasks[4], window=24, seed=0)
+        pools = [bundle.validation, bundle.test]
+        pools += [pool for t in bundle.train_tasks for pool in (t.support, t.query)]
+        for pool in pools:
+            assert not pool.X.flags.writeable and not pool.y.flags.writeable
+            with pytest.raises(ValueError):
+                pool.X[0, 0] = 1.0
 
     def test_duplicate_target_id_rejected(self):
         tasks = generate_synthetic_tasks("synthetic", 2, 168, seed=0)

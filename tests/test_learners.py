@@ -17,6 +17,7 @@ from fewcast.learners import (
     optimizer_step,
     predict,
     save_params,
+    value_and_grad,
 )
 
 
@@ -174,6 +175,18 @@ class TestGradient:
         theta = init_params(spec, seed=2)
         data = random_pairs(rng, 5, 4)
         assert np.allclose(gradient(spec, theta, data, average=True) * 5, gradient(spec, theta, data))
+
+    @pytest.mark.parametrize("family,width", [("linear", 1), ("mlp", 6), ("recurrent", 5)])
+    @pytest.mark.parametrize("average", [False, True])
+    def test_value_and_grad_equals_loss_and_gradient(self, family, width, average):
+        # one forward pass gives the same bits as the two separate calls
+        rng = np.random.default_rng(8)
+        spec = LearnerSpec(family, input_dim=4, width=width)
+        theta = init_params(spec, seed=1) + 0.3 * rng.standard_normal(n_params(spec))
+        data = random_pairs(rng, 7, 4)
+        value, grad = value_and_grad(spec, theta, data, average=average)
+        assert value == loss(spec, theta, data, average=average)
+        assert grad.tobytes() == gradient(spec, theta, data, average=average).tobytes()
 
 
 class TestOptimizers:

@@ -10,7 +10,6 @@ from fewcast.meta import (
     evaluate_pipeline,
     fine_tune,
     inner_adapt,
-    meta_loss,
     meta_train,
     outer_step,
     total_gradient_steps,
@@ -58,27 +57,32 @@ class TestInnerAdapt:
 
 
 class TestMetaLoss:
+    """The meta-loss ``outer_step`` returns. Each support pair has zero
+    residual at ``theta``, so the adapted parameters equal ``theta``."""
+
+    def meta_loss(self, theta, tasks):
+        return outer_step(LINEAR_1D, theta, tasks, cfg_sgd(), init_optimizer("sgd", 2))[2]
+
     def test_perfect_tasks_zero(self):
         theta = np.array([1.0, 0.0])
-        adapted = [(theta, [pair([2.0], 2.0)]), (theta, [pair([5.0], 5.0)])]
-        assert meta_loss(LINEAR_1D, adapted) == 0.0
+        tasks = [TaskDataset(t, support=[pair([x], x)], query=[pair([x], x)]) for t, x in (("a", 2.0), ("b", 5.0))]
+        assert self.meta_loss(theta, tasks) == 0.0
 
     def test_additivity(self):
         theta = np.zeros(2)
-        one = [(theta, [pair([0.0], 1.0)])]  # loss 1
-        two = [(theta, [pair([0.0], 2.0)])]  # loss 4
-        assert meta_loss(LINEAR_1D, one + two) == 5.0
+        one = [TaskDataset("one", support=[pair([0.0], 0.0)], query=[pair([0.0], 1.0)])]  # loss 1
+        two = [TaskDataset("two", support=[pair([0.0], 0.0)], query=[pair([0.0], 2.0)])]  # loss 4
+        assert self.meta_loss(theta, one + two) == 5.0
 
     def test_single_task_reduces_to_loss(self):
         theta = np.array([0.5, -0.1])
         query = [pair([1.0], 0.7), pair([-2.0], 0.1)]
-        from fewcast.learners import loss
-
-        assert meta_loss(LINEAR_1D, [(theta, query)]) == loss(LINEAR_1D, theta, query)
+        task = TaskDataset("t", support=[pair([0.0], -0.1)], query=query)
+        assert self.meta_loss(theta, [task]) == loss(LINEAR_1D, theta, query)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            meta_loss(LINEAR_1D, [])
+            self.meta_loss(np.zeros(2), [])
 
 
 def two_stage_oracle(w, b, x_s, y_s, x_q, y_q, inner_lr, outer_lr):
@@ -129,6 +133,19 @@ class TestMetaTrain:
         theta, curve = meta_train(LINEAR_1D, cfg_sgd(meta_iterations=0), [task], seed=0, theta0=theta0)
         assert np.array_equal(theta, theta0)
         assert curve == []
+
+    def test_windows_and_pair_lists_train_identically(self):
+        # the bundle's array-backed pools against the same pairs given as lists
+        bundle, _ = synthetic_bundle()
+        spec = LearnerSpec("mlp", input_dim=24, width=16)
+        cfg = cfg_sgd(meta_iterations=5, shots=5)
+        as_lists = [TaskDataset(t.task_id, support=list(t.support), query=list(t.query)) for t in bundle.train_tasks]
+        runs = []
+        for tasks, validation in ((bundle.train_tasks, bundle.validation), (as_lists, list(bundle.validation))):
+            theta, curve = meta_train(spec, cfg, tasks, seed=3)
+            theta = fine_tune(spec, theta, validation, finetune_lr=0.01, steps=2)
+            runs.append((theta.tobytes(), curve))
+        assert runs[0] == runs[1]
 
     def test_single_task_single_iteration_equals_outer_step(self):
         task = TaskDataset("t", support=[pair([0.5], 1.0)], query=[pair([1.5], 0.2)])
