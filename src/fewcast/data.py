@@ -222,12 +222,11 @@ def make_windows(series: TimeSeries, window: int) -> Windows:
     return Windows(lags, values[window:].astype(np.float64))
 
 
-def split_support_query(pairs: Windows | list[WindowPair], seed: int, task_id: str = "") -> TaskDataset:
+def split_support_query(pairs: Windows, seed: int, task_id: str = "") -> TaskDataset:
     """Seeded uniform split with |support| = round(0.8 * n)."""
     n = len(pairs)
     if n < 2:
         raise ShortSeriesError(f"need at least 2 pairs to split, got {n}")
-    pairs = _as_windows(pairs)
     n_support = round(SUPPORT_FRACTION * n)
     order = spawn(seed, "support-query").permutation(n)
     support, query = np.sort(order[:n_support]), np.sort(order[n_support:])

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import WindowPair, Windows, pairs_to_arrays
+from .data import Windows, pairs_to_arrays
 from .rng import spawn
 
 FAMILIES = ("linear", "mlp", "recurrent")
@@ -189,44 +189,38 @@ def predict(spec: LearnerSpec, theta: np.ndarray, x: np.ndarray) -> float:
     return float(forward(spec, theta, x[None, :])[0])
 
 
-def loss(spec: LearnerSpec, theta: np.ndarray, data: Windows | list[WindowPair], average: bool = False) -> float:
+def loss(spec: LearnerSpec, theta: np.ndarray, data: Windows, average: bool = False) -> float:
     """Squared-error loss: summed by default, averaged when ``average`` is set.
 
     The summed form feeds meta-training; the averaged form is the reported
     empirical risk.
     """
     X, y = pairs_to_arrays(data)
-    residuals = forward(spec, theta, X) - y
-    return float(np.mean(residuals**2)) if average else float(residuals @ residuals)
+    return _squared_error(forward(spec, theta, X) - y, average)
 
 
 def value_and_grad(
-    spec: LearnerSpec, theta: np.ndarray, data: Windows | list[WindowPair], average: bool = False
+    spec: LearnerSpec, theta: np.ndarray, data: Windows, average: bool = False
 ) -> tuple[float, np.ndarray]:
     """:func:`loss` and :func:`gradient` together, from one forward pass."""
     X, y = pairs_to_arrays(data)
-    residuals, grad = _residuals_and_grad(spec, theta, X, y)
-    if average:
-        return float(np.mean(residuals**2)), grad / len(y)
-    return float(residuals @ residuals), grad
-
-
-def gradient(
-    spec: LearnerSpec, theta: np.ndarray, data: Windows | list[WindowPair], average: bool = False
-) -> np.ndarray:
-    """Exact gradient of :func:`loss` with respect to the flat parameters."""
-    X, y = pairs_to_arrays(data)
-    _, grad = _residuals_and_grad(spec, theta, X, y)
-    return grad / len(y) if average else grad
-
-
-def _residuals_and_grad(spec, theta, X, y):
     _check_theta(spec, theta)
     if spec.family == "linear":
-        return _grad_linear(spec, theta, X, y)
-    if spec.family == "mlp":
-        return _grad_mlp(spec, theta, X, y)
-    return _grad_recurrent(spec, theta, X, y)
+        residuals, grad = _grad_linear(spec, theta, X, y)
+    elif spec.family == "mlp":
+        residuals, grad = _grad_mlp(spec, theta, X, y)
+    else:
+        residuals, grad = _grad_recurrent(spec, theta, X, y)
+    return _squared_error(residuals, average), (grad / len(y) if average else grad)
+
+
+def gradient(spec: LearnerSpec, theta: np.ndarray, data: Windows, average: bool = False) -> np.ndarray:
+    """Exact gradient of :func:`loss` with respect to the flat parameters."""
+    return value_and_grad(spec, theta, data, average)[1]
+
+
+def _squared_error(residuals, average):
+    return float(np.mean(residuals**2)) if average else float(residuals @ residuals)
 
 
 # Each _grad_<family> returns the residuals (forecast - y) of its forward

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataBundle, TaskDataset, WindowPair, Windows
+from .data import DataBundle, TaskDataset, Windows
 from .learners import (
     LearnerSpec,
     NumericError,
@@ -144,7 +144,7 @@ class EvaluationRecord:
 
 
 def inner_adapt(
-    spec: LearnerSpec, theta: np.ndarray, support: Windows | list[WindowPair], inner_lr: float, steps: int = 1
+    spec: LearnerSpec, theta: np.ndarray, support: Windows, inner_lr: float, steps: int = 1
 ) -> np.ndarray:
     """Task adaptation: plain gradient descent on the summed support loss."""
     if not support:
@@ -231,7 +231,7 @@ def meta_train(
 def fine_tune(
     spec: LearnerSpec,
     theta_meta: np.ndarray,
-    validation: Windows | list[WindowPair],
+    validation: Windows,
     finetune_lr: float,
     steps: int,
     optimizer: str = "sgd",

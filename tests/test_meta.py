@@ -3,7 +3,7 @@ import pytest
 
 from fewcast import meta
 from fewcast.data import TaskDataset, WindowPair, build_bundle, generate_synthetic_tasks, normalize
-from fewcast.learners import LearnerSpec, init_optimizer, init_params, loss
+from fewcast.learners import LearnerSpec, gradient, init_optimizer, init_params, loss, optimizer_step
 from fewcast.meta import (
     MetaConfig,
     PipelineConfig,
@@ -15,6 +15,7 @@ from fewcast.meta import (
     total_gradient_steps,
     train_pipeline,
 )
+from fewcast.rng import derive_seed, spawn
 from fewcast.search import build_search_space, search
 
 LINEAR_1D = LearnerSpec("linear", input_dim=1)
@@ -33,6 +34,31 @@ def cfg_sgd(**kw):
 def synthetic_bundle(seed=42):
     series = generate_synthetic_tasks("synthetic", 5, 168, seed=seed)
     return build_bundle(series[:4], series[4], window=24, seed=seed), series[4]
+
+
+def per_pair_meta_train(spec, cfg, tasks, seed):
+    """Oracle for ``meta_train`` with every task per iteration and one inner
+    step: the sampled rows are collected into lists of pairs, and each query
+    set's loss and gradient are taken in separate passes."""
+    theta = init_params(spec, derive_seed(seed, "meta-init"))
+    state = init_optimizer(cfg.optimizer, theta.size)
+    curve = []
+    for it in range(cfg.meta_iterations):
+        rng = spawn(seed, "meta-iter", it)
+
+        def draw(pool):
+            return [pool[int(i)] for i in rng.choice(len(pool), size=cfg.shots, replace=False)]
+
+        total, value = np.zeros_like(theta), 0.0
+        for t in rng.choice(len(tasks), size=len(tasks), replace=False):
+            support = draw(tasks[t].support)
+            query = draw(tasks[t].query)
+            theta_k = inner_adapt(spec, theta, support, cfg.inner_lr)
+            total += gradient(spec, theta_k, query)
+            value += loss(spec, theta_k, query)
+        theta, state = optimizer_step(state, theta, total, cfg.outer_lr)
+        curve.append((it, value))
+    return theta, curve
 
 
 class TestInnerAdapt:
@@ -135,15 +161,15 @@ class TestMetaTrain:
         assert curve == []
 
     def test_windows_and_pair_lists_train_identically(self):
-        # the bundle's array-backed pools against the same pairs given as lists
+        # rows drawn by index from the bundle's Windows against the same rows
+        # drawn into lists of pairs, which the learners stack per call
         bundle, _ = synthetic_bundle()
         spec = LearnerSpec("mlp", input_dim=24, width=16)
-        cfg = cfg_sgd(meta_iterations=5, shots=5)
-        as_lists = [TaskDataset(t.task_id, support=list(t.support), query=list(t.query)) for t in bundle.train_tasks]
+        cfg = cfg_sgd(meta_iterations=5, shots=5, optimizer="adam")
         runs = []
-        for tasks, validation in ((bundle.train_tasks, bundle.validation), (as_lists, list(bundle.validation))):
-            theta, curve = meta_train(spec, cfg, tasks, seed=3)
-            theta = fine_tune(spec, theta, validation, finetune_lr=0.01, steps=2)
+        for train, validation in ((meta_train, bundle.validation), (per_pair_meta_train, list(bundle.validation))):
+            theta, curve = train(spec, cfg, bundle.train_tasks, seed=3)
+            theta = fine_tune(spec, theta, validation, finetune_lr=0.01, steps=2, optimizer=cfg.optimizer)
             runs.append((theta.tobytes(), curve))
         assert runs[0] == runs[1]
 
