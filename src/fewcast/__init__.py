@@ -14,12 +14,12 @@ from .data import (
     WindowPair,
     Windows,
     build_bundle,
+    csv_text,
     generate_synthetic_tasks,
     load_csv,
     make_windows,
     normalize,
     split_support_query,
-    write_csv,
 )
 from .learners import (
     LearnerSpec,

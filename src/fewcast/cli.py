@@ -1,7 +1,8 @@
 """Command-line entry points: generate / search / train / predict / compare.
 
-Every command takes explicit seeds (no wall-clock defaults) and writes a
-manifest recording its exact argument vector. Deterministic artifacts
+Every command takes explicit seeds (no wall-clock defaults) and returns its
+files; only once it has succeeded does ``main`` write them to ``--out``, with
+a manifest recording the exact argument vector. Deterministic artifacts
 (.csv / .jsonl) never contain wall-clock measurements; timing lives in JSON
 sidecars so repeated runs with the same arguments are byte-identical.
 
@@ -14,6 +15,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -28,12 +30,12 @@ from .data import (
     EmptyInputError,
     KINDS,
     build_bundle,
+    csv_text,
     denormalize,
     generate_synthetic_tasks,
     load_csv,
     pairs_to_arrays,
     synthetic_task_params,
-    write_csv,
 )
 from .learners import (
     CheckpointError,
@@ -41,13 +43,12 @@ from .learners import (
     LearnerSpec,
     NumericError,
     OPTIMIZERS,
+    dump_params,
     forward,
     init_params,
     load_params,
-    loss,
-    save_params,
 )
-from .meta import MetaConfig, PipelineConfig, fine_tune, total_gradient_steps, train_pipeline
+from .meta import MetaConfig, PipelineConfig, fine_tune_and_score, total_gradient_steps, train_pipeline
 from .rng import derive_seed
 from .search import WIDTH_OPTIONS, build_search_space, search
 from .stats import compare_samples
@@ -95,17 +96,12 @@ def _config_argv(args, argv: list[str]) -> list[str]:
     return argv[:1] + tokens + argv[1:]
 
 
-def _write_manifest(out_dir: Path, command: str, argv: list[str], extra: dict | None = None) -> None:
-    payload = {"artifact_version": __version__, "command": command, "argv": list(argv)}
-    if extra:
-        payload.update(extra)
-    (out_dir / "manifest.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _lines(rows: list[str]) -> str:
+    return "\n".join(rows) + "\n"
 
 
 def _load_series_dir(data_dir: Path, require_train: bool = True):
@@ -147,11 +143,6 @@ def _meta_config(args, **chosen) -> MetaConfig:
         )
 
 
-def _write_scores(out_dir: Path, rows: list[tuple[int, float]]) -> None:
-    lines = ["seed,test_mse"] + [f"{seed},{mse!r}" for seed, mse in rows]
-    (out_dir / "scores.csv").write_text("\n".join(lines) + "\n")
-
-
 def _read_scores(result_dir: Path) -> dict[int, float]:
     path = Path(result_dir) / "scores.csv"
     if not path.exists():
@@ -160,37 +151,41 @@ def _read_scores(result_dir: Path) -> dict[int, float]:
     if not lines or lines[0] != "seed,test_mse":
         raise CsvError(f"{path}: expected header 'seed,test_mse'")
     out = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        seed_text, mse_text = line.split(",")
-        out[int(seed_text)] = float(mse_text)
+        try:
+            seed_text, mse_text = line.split(",")
+            seed, mse = int(seed_text), float(mse_text)
+        except ValueError:
+            raise CsvError(f"{path}:{lineno}: expected '<integer seed>,<mse>', got {line!r}") from None
+        if seed in out:
+            raise CsvError(f"{path}:{lineno}: duplicate seed {seed}")
+        if not math.isfinite(mse):
+            raise CsvError(f"{path}:{lineno}: test_mse {mse_text!r} is not finite")
+        out[seed] = mse
     return out
 
 
-def cmd_generate(args, argv) -> int:
-    out = _out_dir(args)
-    series = generate_synthetic_tasks(args.kind, args.tasks + 1, args.hours, args.seed)
+def cmd_generate(args) -> tuple[dict, dict]:
+    if args.tasks < 0:
+        raise UsageError(f"--tasks must be >= 0, got {args.tasks}")
+    with _usage_errors():
+        series = generate_synthetic_tasks(args.kind, args.tasks + 1, args.hours, args.seed)
     train_series, target = series[: args.tasks], series[args.tasks]
     target = dataclasses.replace(target, task_id=f"{args.kind}-target")
-    for i, s in enumerate(train_series):
-        write_csv([s], out / f"train_{i:02d}.csv")
-    write_csv([target], out / "target.csv")
+    files = {f"train_{i:02d}.csv": csv_text([s]) for i, s in enumerate(train_series)}
+    files["target.csv"] = csv_text([target])
     params = {
         s.task_id: synthetic_task_params(args.kind, i, args.seed)
         for i, s in enumerate(train_series + [target])
     }
-    _write_manifest(
-        out,
-        "generate",
-        argv,
-        {"kind": args.kind, "seed": args.seed, "hours": args.hours, "tasks": args.tasks, "generator_params": params},
-    )
-    return 0
+    return files, {
+        "kind": args.kind, "seed": args.seed, "hours": args.hours, "tasks": args.tasks, "generator_params": params
+    }
 
 
-def cmd_search(args, argv) -> int:
-    seeds = args.seed if isinstance(args.seed, list) else [args.seed]
+def cmd_search(args) -> tuple[dict, dict]:
     if args.budget < 1:
         raise UsageError(f"--budget must be >= 1, got {args.budget}")
     settings = _meta_config(args)
@@ -202,33 +197,21 @@ def cmd_search(args, argv) -> int:
             c_uct=args.c_uct,
             include_shots_level=args.search_shots,
         )
-    out = _out_dir(args)
     train_series, target = _load_series_dir(Path(args.data))
-    scores = []
-    for seed in seeds:
+    files, scores = {}, ["seed,test_mse"]
+    for seed in args.seed:
         bundle = build_bundle(train_series, target, window=args.window, seed=seed)
         start = time.perf_counter()
         best, trajectory = search(space, bundle, args.budget, seed, settings=settings)
         total_ms = (time.perf_counter() - start) * 1000.0
-        seed_dir = out / f"seed_{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        (seed_dir / "trajectory.jsonl").write_text(trajectory.to_jsonl(include_timing=False))
-        best_curve = trajectory.best_so_far()
-        plot_lines = ["iteration,best_so_far_mse"] + [
-            f"{i},{v!r}" for i, v in enumerate(best_curve)
-        ]
-        (seed_dir / "plot.csv").write_text("\n".join(plot_lines) + "\n")
+        seed_dir = f"seed_{seed}/"
+        files[seed_dir + "trajectory.jsonl"] = trajectory.to_jsonl(include_timing=False)
+        plot_rows = [f"{i},{v!r}" for i, v in enumerate(trajectory.best_so_far())]
+        files[seed_dir + "plot.csv"] = _lines(["iteration,best_so_far_mse"] + plot_rows)
         per_iter = [r.wall_time_ms for r in trajectory.records]
-        (seed_dir / "timings.json").write_text(
-            json.dumps(
-                {
-                    "per_iteration_ms": per_iter,
-                    "cumulative_ms": list(np.cumsum(per_iter)),
-                    "total_ms": total_ms,
-                },
-            )
-            + "\n"
-        )
+        files[seed_dir + "timings.json"] = json.dumps(
+            {"per_iteration_ms": per_iter, "cumulative_ms": list(np.cumsum(per_iter)), "total_ms": total_ms}
+        ) + "\n"
         best_record = trajectory.best_record()
         summary = {
             "seed": seed,
@@ -239,14 +222,13 @@ def cmd_search(args, argv) -> int:
             "failed_evaluations": sum(1 for r in trajectory.records if r.status == "failed"),
             "total_wall_time_ms": total_ms,
         }
-        (seed_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-        scores.append((seed, best_record.test_mse if best_record else float("inf")))
-    _write_scores(out, scores)
-    _write_manifest(out, "search", argv, {"family": args.family, "budget": args.budget, "seeds": seeds})
-    return 0
+        files[seed_dir + "summary.json"] = _json(summary)
+        scores.append(f"{seed},{best_record.test_mse if best_record else math.inf!r}")
+    files["scores.csv"] = _lines(scores)
+    return files, {"family": args.family, "budget": args.budget, "seeds": args.seed}
 
 
-def cmd_train(args, argv) -> int:
+def cmd_train(args) -> tuple[dict, dict]:
     low, high = min(WIDTH_OPTIONS), max(WIDTH_OPTIONS)
     if args.family != "linear" and not low <= args.width <= high:
         raise UsageError(f"--width must lie in [{low}, {high}], got {args.width}")
@@ -255,51 +237,40 @@ def cmd_train(args, argv) -> int:
     chosen = dict(inner_lr=args.inner_lr, outer_lr=args.outer_lr, finetune_lr=args.finetune_lr, optimizer=args.optimizer)
     settings = _meta_config(args, **chosen)
     config = PipelineConfig(family=args.family, width=1 if args.family == "linear" else args.width, **chosen)
-    out = _out_dir(args)
     train_series, target = _load_series_dir(Path(args.data), require_train=not args.vanilla)
-    seeds = args.seed if isinstance(args.seed, list) else [args.seed]
-    scores = []
-    for seed in seeds:
+    files, scores = {}, ["seed,test_mse"]
+    for seed in args.seed:
         bundle = build_bundle(train_series, target, window=args.window, seed=seed)
         spec = LearnerSpec(family=config.family, input_dim=bundle.window, width=config.width)
-        seed_dir = out / f"seed_{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        extra = {"target_norm": list(bundle.target_norm or ()), "window": bundle.window}
         if args.vanilla:
-            steps = args.train_steps
-            if steps is None:
-                steps = total_gradient_steps(settings, max(1, len(bundle.train_tasks)))
+            steps = args.train_steps or total_gradient_steps(settings, max(1, len(bundle.train_tasks)))
             theta0 = init_params(spec, derive_seed(seed, "vanilla-init"))
-            # As in train_pipeline: divergence ends in one NumericError, not numpy warnings.
-            with np.errstate(all="ignore"):
-                theta = fine_tune(spec, theta0, bundle.validation, settings.finetune_lr, steps, settings.optimizer)
-                if not np.all(np.isfinite(theta)):
-                    raise NumericError("vanilla training diverged to non-finite parameters")
-                val_mse = loss(spec, theta, bundle.validation, average=True)
-                test_mse = loss(spec, theta, bundle.test, average=True)
-            save_params(seed_dir / "model.params", spec, theta, extra)
+            theta, val_mse, test_mse = fine_tune_and_score(spec, theta0, bundle, settings, steps)
+            checkpoints = {"model.params": theta}
             result = {"vanilla": True, "train_steps": steps, "train_curve": []}
         else:
             meta_result, test_mse = train_pipeline(config, bundle, seed, settings)
             val_mse = meta_result.val_mse
-            save_params(seed_dir / "model.params", spec, meta_result.theta_final, extra)
-            save_params(seed_dir / "meta_init.params", spec, meta_result.theta_meta, extra)
+            checkpoints = {"model.params": meta_result.theta_final, "meta_init.params": meta_result.theta_meta}
             result = {
                 "vanilla": False,
                 "train_steps": total_gradient_steps(settings, len(bundle.train_tasks)),
                 "train_curve": [[it, value] for it, value in meta_result.train_curve],
             }
+        seed_dir = f"seed_{seed}/"
+        extra = {"target_norm": list(bundle.target_norm or ()), "window": bundle.window}
+        for name, params in checkpoints.items():
+            files[seed_dir + name] = dump_params(spec, params, extra)
         result.update(
             {"seed": seed, "val_mse": val_mse, "test_mse": test_mse, "config": config.to_dict()}
         )
-        (seed_dir / "result.json").write_text(json.dumps(result, sort_keys=True, indent=2) + "\n")
-        scores.append((seed, test_mse))
-    _write_scores(out, scores)
-    _write_manifest(out, "train", argv, {"vanilla": args.vanilla, "seeds": seeds})
-    return 0
+        files[seed_dir + "result.json"] = _json(result)
+        scores.append(f"{seed},{test_mse!r}")
+    files["scores.csv"] = _lines(scores)
+    return files, {"vanilla": args.vanilla, "seeds": args.seed}
 
 
-def cmd_predict(args, argv) -> int:
+def cmd_predict(args) -> tuple[dict, dict]:
     if args.horizon < 1:
         raise UsageError(f"--horizon must be >= 1, got {args.horizon}")
     checkpoint = Path(args.checkpoint)
@@ -326,16 +297,12 @@ def cmd_predict(args, argv) -> int:
     if norm:
         y_true = denormalize(y_true, tuple(norm))
         y_pred = denormalize(y_pred, tuple(norm))
-    out = _out_dir(args)
-    lines = ["step,y_true,y_pred"] + [
-        f"{i},{float(t)!r},{float(p)!r}" for i, (t, p) in enumerate(zip(y_true, y_pred))
-    ]
-    (out / "forecast.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "predict", argv, {"horizon": len(y_pred), "recursive": args.recursive})
-    return 0
+    rows = [f"{i},{float(t)!r},{float(p)!r}" for i, (t, p) in enumerate(zip(y_true, y_pred))]
+    forecast = _lines(["step,y_true,y_pred"] + rows)
+    return {"forecast.csv": forecast}, {"horizon": len(y_pred), "recursive": args.recursive}
 
 
-def cmd_compare(args, argv) -> int:
+def cmd_compare(args) -> tuple[dict, dict]:
     if len(args.results) < 2:
         raise UsageError("compare needs at least two result directories")
     scores = {d: _read_scores(Path(d)) for d in args.results}
@@ -359,11 +326,8 @@ def cmd_compare(args, argv) -> int:
         name: 100.0 * categories.count(name) / len(categories)
         for name in ("large", "medium", "small", "equal", "below_half")
     }
-    out = _out_dir(args)
     report = {"pairs": pairs, "category_percentages": percentages}
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _write_manifest(out, "compare", argv, {"results": [str(d) for d in args.results]})
-    return 0
+    return {"report.json": _json(report)}, {"results": [str(d) for d in args.results]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,7 +408,14 @@ def main(argv=None) -> int:
         if args.config:
             args = parser.parse_args(_config_argv(args, argv))
         _require_seed(args)
-        return args.func(args, argv)
+        files, manifest_extra = args.func(args)
+        manifest = {"artifact_version": __version__, "command": args.command, "argv": argv, **manifest_extra}
+        files["manifest.json"] = _json(manifest)
+        for name, content in files.items():
+            path = Path(args.out) / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+        return 0
     except SystemExit as exc:  # argparse has printed its usage message
         return int(exc.code or 0)
     except UsageError as exc:

@@ -283,13 +283,13 @@ def build_bundle(
     )
 
 
-def write_csv(series_list: list[TimeSeries], path) -> None:
-    """Write series under the ``task_id,timestamp,value`` schema (round-trip exact)."""
+def csv_text(series_list: list[TimeSeries]) -> str:
+    """Series under the ``task_id,timestamp,value`` schema (round-trip exact)."""
     lines = [CSV_HEADER]
     for s in series_list:
         for t, v in enumerate(s.values):
             lines.append(f"{s.task_id},{t},{float(v)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def load_csv(path) -> list[TimeSeries]:

@@ -357,7 +357,7 @@ def optimizer_step(
 # --- checkpoint serialization ---------------------------------------------
 
 
-def save_params(path, spec: LearnerSpec, theta: np.ndarray, extra: dict | None = None) -> None:
+def dump_params(spec: LearnerSpec, theta: np.ndarray, extra: dict | None = None) -> bytes:
     """Flat little-endian float64 blob behind a one-line JSON header."""
     header = {
         "format_version": PARAMS_FORMAT_VERSION,
@@ -368,9 +368,8 @@ def save_params(path, spec: LearnerSpec, theta: np.ndarray, extra: dict | None =
     }
     if extra:
         header["extra"] = extra
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(theta, dtype="<f8").tobytes())
+    blob = np.ascontiguousarray(theta, dtype="<f8").tobytes()
+    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + blob
 
 
 def load_params(path) -> tuple[LearnerSpec, np.ndarray, dict]:
@@ -382,13 +381,27 @@ def load_params(path) -> tuple[LearnerSpec, np.ndarray, dict]:
         header = json.loads(raw[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
+    if not isinstance(header, dict) or not isinstance(header.get("extra", {}), dict):
+        raise CheckpointError(f"{path}: header or its 'extra' field is not a JSON object")
     if header.get("format_version") != PARAMS_FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format_version {header.get('format_version')!r} != {PARAMS_FORMAT_VERSION}"
         )
-    spec = LearnerSpec(family=header["family"], input_dim=header["input_dim"], width=header["width"])
-    theta = np.frombuffer(raw[newline + 1 :], dtype="<f8").astype(np.float64)
-    if theta.size != header["n_params"] or theta.size != n_params(spec):
+    try:
+        family, input_dim, width, declared = (header[key] for key in ("family", "input_dim", "width", "n_params"))
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: header lacks {exc}") from None
+    if not all(type(value) is int for value in (input_dim, width, declared)):
+        raise CheckpointError(f"{path}: input_dim, width and n_params must be integers")
+    try:
+        spec = LearnerSpec(family=family, input_dim=input_dim, width=width)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    payload = raw[newline + 1 :]
+    if len(payload) % 8:
+        raise CheckpointError(f"{path}: payload of {len(payload)} bytes is not a whole number of float64 values")
+    theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if theta.size != declared or theta.size != n_params(spec):
         raise CheckpointError(
             f"{path}: payload holds {theta.size} values; header/spec require {n_params(spec)}"
         )

@@ -249,6 +249,21 @@ def fine_tune(
     return theta
 
 
+def fine_tune_and_score(
+    spec: LearnerSpec, theta: np.ndarray, bundle: DataBundle, cfg: MetaConfig, steps: int
+) -> tuple[np.ndarray, float, float]:
+    """Fine-tune ``theta`` on the validation slice for ``steps`` updates and
+    return it with its validation and test MSE. Divergence ends in one
+    NumericError, not numpy warnings."""
+    with np.errstate(all="ignore"):
+        theta = fine_tune(spec, theta, bundle.validation, cfg.finetune_lr, steps, cfg.optimizer)
+        val_mse = loss(spec, theta, bundle.validation, average=True)
+        test_mse = loss(spec, theta, bundle.test, average=True)
+    if not (math.isfinite(val_mse) and math.isfinite(test_mse)):
+        raise NumericError("evaluation produced a non-finite mean squared error")
+    return theta, val_mse, test_mse
+
+
 def total_gradient_steps(cfg: MetaConfig, n_train_tasks: int) -> int:
     """Parameter updates a full meta run performs (inner + outer + fine-tune);
     used to grant baselines an equal step budget."""
@@ -282,13 +297,7 @@ def train_pipeline(
     cfg = _meta_config_for(config, settings)
     with np.errstate(all="ignore"):
         theta_meta, curve = meta_train(spec, cfg, bundle.train_tasks, seed)
-        theta_final = fine_tune(
-            spec, theta_meta, bundle.validation, cfg.finetune_lr, cfg.finetune_steps, cfg.optimizer
-        )
-        val_mse = loss(spec, theta_final, bundle.validation, average=True)
-        test_mse = loss(spec, theta_final, bundle.test, average=True)
-    if not (math.isfinite(val_mse) and math.isfinite(test_mse)):
-        raise NumericError("evaluation produced a non-finite mean squared error")
+    theta_final, val_mse, test_mse = fine_tune_and_score(spec, theta_meta, bundle, cfg, cfg.finetune_steps)
     return MetaResult(theta_meta, theta_final, val_mse, curve), test_mse
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import fewcast
 from fewcast.cli import main
-from fewcast.data import write_csv, TimeSeries
+from fewcast.data import csv_text, TimeSeries
 
 
 FAST = ["--meta-iterations", "5"]
@@ -17,6 +17,13 @@ FAST = ["--meta-iterations", "5"]
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_child(*argv):
+    """The CLI in a child process, so that its stderr holds any warning or traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fewcast.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "fewcast", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +132,8 @@ def short_target_dir(data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("short")
     for path in data_dir.glob("train_*.csv"):
         (out / path.name).write_bytes(path.read_bytes())
-    write_csv([TimeSeries(task_id="short-target", kind="synthetic", values=np.linspace(0.0, 1.0, 19))],
-              out / "target.csv")
+    (out / "target.csv").write_text(
+        csv_text([TimeSeries(task_id="short-target", kind="synthetic", values=np.linspace(0.0, 1.0, 19))]))
     return out
 
 
@@ -145,6 +152,7 @@ def test_window_and_horizon_probes_exit_with_one_line(argv, data, code, request,
     assert run(*argv, "--data", request.getfixturevalue(data), "--out", tmp_path / "x") == code
     err = capsys.readouterr().err
     assert err.startswith({2: "usage error: ", 3: "data error: "}[code]) and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
 
 
 class TestTrain:
@@ -174,7 +182,7 @@ class TestTrain:
         data.mkdir()
         rng = np.random.default_rng(0)
         target = TimeSeries(task_id="solo-target", kind="synthetic", values=rng.uniform(size=60))
-        write_csv([target], data / "target.csv")
+        (data / "target.csv").write_text(csv_text([target]))
         out = tmp_path / "vanilla"
         assert run("train", "--data", data, "--family", "linear", "--vanilla",
                    "--finetune-lr", 0.01, "--window", 12, "--seed", 2, "--out", out, *FAST) == 0
@@ -194,12 +202,8 @@ class TestTrain:
     def test_diverging_vanilla_run_prints_one_line(self, data_dir, tmp_path):
         # sgd at the default rates diverges at width 512: exit 4 with no numpy
         # warnings. A child process, because pytest would capture the warnings.
-        env = dict(os.environ, PYTHONPATH=str(Path(fewcast.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fewcast", "train", "--data", str(data_dir), "--family", "mlp", "--width", "512",
-             "--vanilla", "--seed", "1", "--out", str(tmp_path / "v")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_child("train", "--data", data_dir, "--family", "mlp", "--width", 512,
+                         "--vanilla", "--seed", 1, "--out", tmp_path / "v")
         assert proc.returncode == 4
         assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
 
@@ -251,7 +255,7 @@ class TestPredict:
         data = tmp_path / "zero"
         data.mkdir()
         target = TimeSeries(task_id="flat-target", kind="synthetic", values=np.zeros(40))
-        write_csv([target], data / "target.csv")
+        (data / "target.csv").write_text(csv_text([target]))
         train_out = tmp_path / "zero_train"
         assert run("train", "--data", data, "--family", "linear", "--vanilla",
                    "--finetune-lr", 0.01, "--window", 8, "--seed", 1, "--out", train_out, *FAST) == 0
@@ -265,6 +269,102 @@ class TestPredict:
         bad = tmp_path / "bad.params"
         bad.write_bytes(b'{"format_version": 99}\n')
         assert run("predict", "--checkpoint", bad, "--data", data_dir, "--out", tmp_path / "x") == 3
+
+
+def _compare_scores(body):
+    def argv(tmp, data, ckpt):
+        d = tmp / "scores"
+        d.mkdir()
+        (d / "scores.csv").write_text("seed,test_mse\n" + body)
+        return ["compare", d, d]
+    return argv
+
+
+def _predict_edited_checkpoint(edit):
+    """predict from a copy of the trained checkpoint, its (header, payload) rewritten by ``edit``."""
+    def argv(tmp, data, ckpt):
+        header, payload = (ckpt / "model.params").read_bytes().split(b"\n", 1)
+        header, payload = edit(json.loads(header), payload)
+        path = tmp / "bad.params"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        return ["predict", "--checkpoint", path, "--data", data]
+    return argv
+
+
+def _drop(key):
+    return lambda header, payload: ({k: v for k, v in header.items() if k != key}, payload)
+
+
+@pytest.mark.parametrize(
+    "make_argv, code",
+    [
+        pytest.param(lambda tmp, data, ckpt: ["generate", "--hours", 1, "--seed", 1], 2, id="generate-hours-1"),
+        pytest.param(lambda tmp, data, ckpt: ["generate", "--tasks", -1, "--seed", 1], 2, id="generate-tasks-minus-1"),
+        # sgd at the CLI defaults diverges at width 512 on the second seed,
+        # after the first has finished
+        pytest.param(lambda tmp, data, ckpt: ["train", "--data", data, "--family", "mlp", "--width", 512,
+                                              "--seed", 1, 2, 3], 4, id="train-defaults-diverge"),
+        pytest.param(lambda tmp, data, ckpt: ["train", "--data", data, "--family", "linear", "--vanilla",
+                                              "--finetune-lr", 0.5, "--seed", 1], 4, id="vanilla-infinite-mse"),
+        *[
+            pytest.param(_compare_scores(body), 3, id=f"compare-{name}")
+            for name, body in [
+                ("non-number", "1,abc\n"),
+                ("one-field", "1\n"),
+                ("non-integer-seed", "1.5,0.2\n"),
+                ("duplicate-seed", "1,0.2\n1,0.3\n"),
+                ("inf", "1,inf\n2,inf\n"),
+                ("nan", "1,0.2\n2,nan\n"),
+            ]
+        ],
+        pytest.param(_predict_edited_checkpoint(lambda h, p: (h, p[:-3])), 3, id="checkpoint-ragged-payload"),
+        pytest.param(_predict_edited_checkpoint(lambda h, p: ([h], p)), 3, id="checkpoint-header-not-object"),
+        *[
+            pytest.param(_predict_edited_checkpoint(_drop(key)), 3, id=f"checkpoint-without-{key}")
+            for key in ("n_params", "family", "input_dim", "width")
+        ],
+        pytest.param(_predict_edited_checkpoint(lambda h, p: ({**h, "width": "x"}, p)), 3, id="checkpoint-width-x"),
+    ],
+)
+def test_failing_command_prints_one_line_and_writes_nothing(make_argv, code, data_dir, checkpoint, tmp_path):
+    out = tmp_path / "out"
+    proc = run_child(*make_argv(tmp_path, data_dir, checkpoint), "--out", out)
+    assert proc.returncode == code, proc.stderr
+    prefix = {2: "usage error: ", 3: "data error: ", 4: "numeric failure: "}[code]
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_each_command_writes_its_files_and_strict_json(data_dir, tmp_path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    per_search_seed = ["plot.csv", "summary.json", "timings.json", "trajectory.jsonl"]
+    chain = [
+        ("gen", ["generate", "--seed", 3, "--tasks", 2],
+         ["manifest.json", "target.csv", "train_00.csv", "train_01.csv"]),
+        ("search", ["search", "--data", data_dir, "--family", "linear", "--budget", 2, "--seed", 1, 2, *FAST],
+         ["manifest.json", "scores.csv"] + [f"seed_{s}/{name}" for s in (1, 2) for name in per_search_seed]),
+        ("train", ["train", "--data", data_dir, "--family", "linear", "--inner-lr", 0.001, "--outer-lr", 0.001,
+                   "--finetune-lr", 0.003, "--seed", 1, 2, *FAST],
+         ["manifest.json", "scores.csv"]
+         + [f"seed_{s}/{name}" for s in (1, 2) for name in ("meta_init.params", "model.params", "result.json")]),
+        ("vanilla", ["train", "--data", data_dir, "--family", "linear", "--vanilla", "--finetune-lr", 0.01,
+                     "--seed", 1, 2, *FAST],
+         ["manifest.json", "scores.csv", "seed_1/model.params", "seed_1/result.json",
+          "seed_2/model.params", "seed_2/result.json"]),
+        ("predict", ["predict", "--checkpoint", tmp_path / "train" / "seed_1", "--data", data_dir, "--recursive"],
+         ["forecast.csv", "manifest.json"]),
+        ("compare", ["compare", tmp_path / "search", tmp_path / "train", tmp_path / "vanilla"],
+         ["manifest.json", "report.json"]),
+    ]
+    for name, argv, expected in chain:
+        out = tmp_path / name
+        assert run(*argv, "--out", out) == 0
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == expected
+        for path in out.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestConfigFile:

@@ -8,6 +8,7 @@ from fewcast.data import (
     WindowPair,
     Windows,
     build_bundle,
+    csv_text,
     daily_phase_component,
     denormalize,
     generate_synthetic_tasks,
@@ -16,7 +17,6 @@ from fewcast.data import (
     normalize,
     split_support_query,
     synthetic_task_params,
-    write_csv,
 )
 
 
@@ -213,7 +213,7 @@ class TestCsv:
     def test_round_trip_exact(self, tmp_path):
         tasks = generate_synthetic_tasks("wind", 3, 168, seed=11)
         path = tmp_path / "h.csv"
-        write_csv(tasks, path)
+        path.write_text(csv_text(tasks))
         back = load_csv(path)
         assert len(back) == len(tasks)
         for orig, loaded in zip(tasks, back):

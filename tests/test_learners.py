@@ -7,6 +7,7 @@ from fewcast.learners import (
     LearnerSpec,
     NumericError,
     OPTIMIZERS,
+    dump_params,
     forward,
     gradient,
     init_optimizer,
@@ -16,7 +17,6 @@ from fewcast.learners import (
     n_params,
     optimizer_step,
     predict,
-    save_params,
     value_and_grad,
 )
 
@@ -281,7 +281,7 @@ class TestSerialization:
         spec = LearnerSpec("mlp", input_dim=7, width=5)
         theta = init_params(spec, seed=9)
         path = tmp_path / "model.params"
-        save_params(path, spec, theta, extra={"target_norm": [0.0, 2.0]})
+        path.write_bytes(dump_params(spec, theta, extra={"target_norm": [0.0, 2.0]}))
         spec2, theta2, extra = load_params(path)
         assert spec2 == spec
         assert np.array_equal(theta, theta2)
@@ -296,7 +296,7 @@ class TestSerialization:
     def test_truncated_payload(self, tmp_path):
         spec = LearnerSpec("linear", input_dim=3)
         path = tmp_path / "trunc.params"
-        save_params(path, spec, init_params(spec, seed=0))
+        path.write_bytes(dump_params(spec, init_params(spec, seed=0)))
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(CheckpointError):
