@@ -292,14 +292,21 @@ def csv_text(series_list: list[TimeSeries]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path) -> str:
+    """The file as UTF-8 text; undecodable bytes raise :class:`CsvError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_csv(path) -> list[TimeSeries]:
     """Parse a task CSV into one TimeSeries per task_id, ordered by timestamp.
 
     Raises :class:`CsvError` naming the offending line, or
     :class:`EmptyInputError` for a file with no content.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not any(line.strip() for line in lines):
         raise EmptyInputError(f"{path}: file is empty")
     if lines[0].strip() != CSV_HEADER:

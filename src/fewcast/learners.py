@@ -146,7 +146,9 @@ def _forward_linear(spec, theta, X):
 
 def _forward_mlp(spec, theta, X, want_cache=False):
     W1, b1, v, b2 = _unpack_mlp(spec, theta)
-    hidden = np.tanh(X @ W1.T + b1)
+    hidden = X @ W1.T  # the one (batch, width) buffer; the bias and tanh run in place
+    hidden += b1
+    np.tanh(hidden, out=hidden)
     yhat = hidden @ v + b2
     return (yhat, hidden) if want_cache else yhat
 
@@ -240,7 +242,12 @@ def _grad_mlp(spec, theta, X, y):
     dy = 2.0 * residuals
     dv = hidden.T @ dy
     db2 = dy.sum()
-    da = np.outer(dy, v) * (1.0 - hidden**2)
+    # (dy v)(1 - h^2), as the out-of-place form rounds it, with hidden
+    # overwritten by 1 - h^2 instead of two more (batch, width) temporaries
+    da = np.multiply.outer(dy, v)
+    np.square(hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    da *= hidden
     dW1 = da.T @ X
     db1 = da.sum(axis=0)
     return residuals, np.concatenate([dW1.ravel(), db1, dv, [db2]])

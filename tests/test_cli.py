@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -271,13 +273,22 @@ class TestPredict:
         assert run("predict", "--checkpoint", bad, "--data", data_dir, "--out", tmp_path / "x") == 3
 
 
-def _compare_scores(body):
+def _on_file(name, content, command):
+    """``command(directory, checkpoint)`` after writing ``content`` to ``name`` in a fresh directory."""
     def argv(tmp, data, ckpt):
-        d = tmp / "scores"
+        d = tmp / "probe"
         d.mkdir()
-        (d / "scores.csv").write_text("seed,test_mse\n" + body)
-        return ["compare", d, d]
+        (d / name).write_bytes(content)
+        return command(d, ckpt)
     return argv
+
+
+def _compare_scores(body):
+    return _on_file("scores.csv", ("seed,test_mse\n" + body).encode(), lambda d, ckpt: ["compare", d, d])
+
+
+def _set_extra(key, value):
+    return lambda header, payload: ({**header, "extra": {**header["extra"], key: value}}, payload)
 
 
 def _predict_edited_checkpoint(edit):
@@ -324,6 +335,13 @@ def _drop(key):
             for key in ("n_params", "family", "input_dim", "width")
         ],
         pytest.param(_predict_edited_checkpoint(lambda h, p: ({**h, "width": "x"}, p)), 3, id="checkpoint-width-x"),
+        pytest.param(_predict_edited_checkpoint(_set_extra("target_norm", "ab")), 3, id="checkpoint-target-norm-ab"),
+        pytest.param(_predict_edited_checkpoint(_set_extra("window", "24")), 3, id="checkpoint-window-string"),
+        # one 0xff byte, which is not UTF-8
+        pytest.param(_on_file("target.csv", b"\xff\n", lambda d, ckpt: ["predict", "--checkpoint", ckpt, "--data", d]),
+                     3, id="predict-undecodable-target"),
+        pytest.param(_on_file("scores.csv", b"seed,test_mse\n1,0.5\xff\n", lambda d, ckpt: ["compare", d, d]),
+                     3, id="compare-undecodable-scores"),
     ],
 )
 def test_failing_command_prints_one_line_and_writes_nothing(make_argv, code, data_dir, checkpoint, tmp_path):
@@ -334,6 +352,51 @@ def test_failing_command_prints_one_line_and_writes_nothing(make_argv, code, dat
     assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_failed_write_leaves_no_truncated_or_temporary_file(tmp_path, monkeypatch, capsys):
+    reference = tmp_path / "reference"
+    assert run("generate", "--seed", 3, "--tasks", 2, "--out", reference) == 0
+    write_bytes, calls = Path.write_bytes, []
+
+    def disk_full_on_second_file(path, content):
+        calls.append(path)
+        if len(calls) == 2:  # half the file reaches the disk, then it is full
+            write_bytes(path, content[: len(content) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return write_bytes(path, content)
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full_on_second_file)
+    out = tmp_path / "out"
+    assert run("generate", "--seed", 3, "--tasks", 2, "--out", out) == 3
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert len(calls) == 2
+    # the first file is whole, the second absent, and no temporary file is left
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        "train_00.csv": (reference / "train_00.csv").read_bytes()
+    }
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the freed-memory setting is glibc's")
+def test_vanilla_train_does_not_fault_in_its_temporaries_again(data_dir, tmp_path):
+    # A full-batch width-1024 step frees (115, 1024) temporaries of 0.9 MB;
+    # handed back to the kernel, they fault in again on every step (about
+    # 225k minor page faults for this command). Kept in the process, they
+    # do not. The count covers the whole child, Python start-up included.
+    script = ("import resource, sys; from fewcast.cli import main; rc = main(sys.argv[1:]); "
+              "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_minflt)")
+    env = dict(os.environ, PYTHONPATH=str(Path(fewcast.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "train", "--data", str(data_dir), "--vanilla", "--family", "mlp",
+         "--width", "1024", "--optimizer", "adam", "--seed", "1", "--out", str(tmp_path / "v")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, faults = map(int, proc.stdout.split())
+    assert rc == 0, proc.stderr
+    assert faults < 50_000
 
 
 def test_each_command_writes_its_files_and_strict_json(data_dir, tmp_path):

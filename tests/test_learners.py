@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fewcast import learners
 from fewcast.data import WindowPair
 from fewcast.learners import (
     CheckpointError,
@@ -187,6 +188,34 @@ class TestGradient:
         value, grad = value_and_grad(spec, theta, data, average=average)
         assert value == loss(spec, theta, data, average=average)
         assert grad.tobytes() == gradient(spec, theta, data, average=average).tobytes()
+
+
+def out_of_place_mlp(spec, theta, X, y):
+    """The mlp pass written with a fresh array per operation: the reference
+    whose bits the in-place forward and backward passes must keep."""
+    d, h = spec.input_dim, spec.width
+    W1, b1, v, b2 = theta[: h * d].reshape(h, d), theta[h * d : h * d + h], theta[h * d + h : -1], theta[-1]
+    hidden = np.tanh(X @ W1.T + b1)
+    yhat = hidden @ v + b2
+    dy = 2.0 * (yhat - y)
+    da = np.outer(dy, v) * (1.0 - hidden**2)
+    return yhat, yhat - y, np.concatenate([(da.T @ X).ravel(), da.sum(axis=0), hidden.T @ dy, [dy.sum()]])
+
+
+@pytest.mark.parametrize("width", [1, 128, 1024])
+@pytest.mark.parametrize("batch", [10, 115])
+def test_in_place_mlp_pass_keeps_the_out_of_place_bits(width, batch):
+    rng = np.random.default_rng(width + batch)
+    spec = LearnerSpec("mlp", input_dim=24, width=width)
+    theta = init_params(spec, seed=3) + 0.1 * rng.standard_normal(n_params(spec))
+    X, y = rng.standard_normal((batch, 24)), rng.standard_normal(batch)
+    yhat, residuals, grad = out_of_place_mlp(spec, theta, X, y)
+    got_residuals, got_grad = learners._grad_mlp(spec, theta, X, y)
+    value, _ = value_and_grad(spec, theta, pairs_from(X, y))
+    assert forward(spec, theta, X).tobytes() == yhat.tobytes()
+    assert got_residuals.tobytes() == residuals.tobytes()
+    assert np.float64(value).tobytes() == np.float64(residuals @ residuals).tobytes()
+    assert got_grad.tobytes() == grad.tobytes()
 
 
 class TestOptimizers:
