@@ -123,9 +123,9 @@ def _config_argv(args, argv: list[str]) -> list[str]:
     Unknown keys are usage errors so typos never pass silently.
     """
     try:
-        overrides = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{args.config}: not valid JSON ({exc})") from None
+        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"{args.config}: not valid UTF-8 JSON ({exc})") from None
     if not isinstance(overrides, dict):
         raise UsageError(f"{args.config}: expected a JSON object")
     tokens = []
@@ -167,13 +167,14 @@ def _load_series_dir(data_dir: Path, require_train: bool = True):
     return train_series, targets[0]
 
 
+# The fixed (non-searched) MetaConfig settings that search and train share.
+META_FLAGS = ("meta_iterations", "shots", "finetune_steps", "inner_steps")
+
+
 def _add_meta_flags(p: argparse.ArgumentParser) -> None:
-    """The fixed (non-searched) settings that search and train share."""
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p.add_argument("--meta-iterations", type=int, default=MetaConfig.meta_iterations)
-    p.add_argument("--shots", type=int, default=MetaConfig.shots)
-    p.add_argument("--finetune-steps", type=int, default=MetaConfig.finetune_steps)
-    p.add_argument("--inner-steps", type=int, default=MetaConfig.inner_steps)
+    for name in META_FLAGS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=int, default=getattr(MetaConfig, name))
 
 
 def _meta_config(args, **chosen) -> MetaConfig:
@@ -182,13 +183,7 @@ def _meta_config(args, **chosen) -> MetaConfig:
     if args.window < 1:
         raise UsageError(f"--window must be >= 1, got {args.window}")
     with _usage_errors():
-        return MetaConfig(
-            meta_iterations=args.meta_iterations,
-            shots=args.shots,
-            finetune_steps=args.finetune_steps,
-            inner_steps=args.inner_steps,
-            **chosen,
-        )
+        return MetaConfig(**{name: getattr(args, name) for name in META_FLAGS}, **chosen)
 
 
 def _read_scores(result_dir: Path) -> dict[int, float]:

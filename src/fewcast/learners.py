@@ -96,11 +96,6 @@ def _init_plan(spec: LearnerSpec) -> list[tuple[int, int | None]]:
     return gate * 3 + [(h, h), (1, None)]
 
 
-def _unpack_linear(spec, theta):
-    d = spec.input_dim
-    return theta[:d], theta[d]
-
-
 def _unpack_mlp(spec, theta):
     d, h = spec.input_dim, spec.width
     i = 0
@@ -140,8 +135,9 @@ def _check_theta(spec, theta):
 
 
 def _forward_linear(spec, theta, X):
-    w, b = _unpack_linear(spec, theta)
-    return X @ w + b
+    # theta (p,) against X (n, d), or a stack (K, p) against (K, n, d): each
+    # task's matmul is then the one a single task runs, bit for bit
+    return (X @ theta[..., :-1, None])[..., 0] + theta[..., -1:]
 
 
 def _forward_mlp(spec, theta, X, want_cache=False):
@@ -232,7 +228,7 @@ def _squared_error(residuals, average):
 def _grad_linear(spec, theta, X, y):
     residuals = _forward_linear(spec, theta, X) - y
     dy = 2.0 * residuals
-    return residuals, np.concatenate([X.T @ dy, [dy.sum()]])
+    return residuals, np.concatenate([(dy[..., None, :] @ X)[..., 0, :], dy.sum(axis=-1, keepdims=True)], axis=-1)
 
 
 def _grad_mlp(spec, theta, X, y):

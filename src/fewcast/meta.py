@@ -10,6 +10,14 @@ the searched optimizer acts only in the outer and fine-tune updates. The
 outer gradient treats the adapted parameters' Jacobian as identity
 (first-order approximation), so it is simply the sum over tasks of the
 query-loss gradients evaluated at the adapted parameters.
+
+Meta-iteration ``it`` reads only ``spawn(seed, "meta-iter", it)``. It picks
+the tasks, then draws one uniform key per pool row, every picked task's
+support keys before any query keys, and takes each pool's ``shots`` rows
+of smallest key in stable-argsort order. The linear family runs the episode
+as matmuls stacked over the task axis; the other families, and pools of
+unequal length, run it task by task. Either way the per-task losses and
+gradients are added in task order, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,6 +34,7 @@ from .learners import (
     LearnerSpec,
     NumericError,
     OPTIMIZERS,
+    _grad_linear,
     gradient,
     init_optimizer,
     init_params,
@@ -45,8 +54,9 @@ class MetaConfig:
     The learning rates and optimizer default to the fixed-default baseline;
     a searched configuration replaces them (see ``_meta_config_for``).
     ``tasks_per_iter=None`` uses every source task each iteration; ``shots``
-    is the number of support and query instances sampled per task per
-    episode (a task pool smaller than that is used whole).
+    is the number of support and query rows each picked task draws per
+    episode: those with the smallest uniform keys, support keys drawn first
+    (a pool of at most ``shots`` rows is used whole, in key order).
     """
 
     inner_lr: float = 0.01
@@ -66,16 +76,11 @@ class MetaConfig:
                 raise ValueError(f"{name} must lie in [{LR_MIN}, {LR_MAX}], got {value}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.tasks_per_iter is not None and self.tasks_per_iter < 1:
-            raise ValueError(f"tasks_per_iter must be >= 1, got {self.tasks_per_iter}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.meta_iterations < 0:
-            raise ValueError(f"meta_iterations must be >= 0, got {self.meta_iterations}")
-        if self.finetune_steps < 1:
-            raise ValueError(f"finetune_steps must be >= 1, got {self.finetune_steps}")
-        if self.inner_steps < 1:
-            raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")
+        minimums = {"tasks_per_iter": 1, "shots": 1, "meta_iterations": 0, "finetune_steps": 1, "inner_steps": 1}
+        for name, low in minimums.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -93,17 +98,9 @@ class PipelineConfig:
     choices: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "width": self.width,
-            "inner_lr": self.inner_lr,
-            "outer_lr": self.outer_lr,
-            "finetune_lr": self.finetune_lr,
-            "optimizer": self.optimizer,
-            "choices": list(self.choices),
-        }
-        if self.shots is not None:
-            out["shots"] = self.shots
+        out = {**asdict(self), "choices": list(self.choices)}
+        if self.shots is None:
+            del out["shots"]
         return out
 
 
@@ -130,16 +127,9 @@ class EvaluationRecord:
     status: str  # "ok" or "failed"
 
     def to_json(self, include_timing: bool = True) -> str:
-        payload = {
-            "iteration": self.iteration,
-            "config": self.config.to_dict(),
-            "val_mse": self.val_mse,
-            "test_mse": self.test_mse,
-            "seed": self.seed,
-            "status": self.status,
-        }
-        if include_timing:
-            payload["wall_time_ms"] = self.wall_time_ms
+        payload = {**asdict(self), "config": self.config.to_dict()}
+        if not include_timing:
+            del payload["wall_time_ms"]
         return json.dumps(payload, sort_keys=True)
 
 
@@ -173,23 +163,53 @@ def outer_step(
     at the adapted parameters."""
     if not tasks:
         raise ValueError("task batch is empty")
-    total_grad = np.zeros_like(theta)
-    value = 0.0
-    for task in tasks:
-        theta_k = inner_adapt(spec, theta, task.support, cfg.inner_lr, cfg.inner_steps)
-        if not task.query:
-            raise ValueError(f"task {task.task_id!r} has an empty query set")
-        task_loss, task_grad = value_and_grad(spec, theta_k, task.query)
-        total_grad += task_grad
-        value += task_loss
+    total_grad, value = _episode_sum(spec, theta, [(task.support, task.query) for task in tasks], cfg)
     theta_new, opt_state = optimizer_step(opt_state, theta, total_grad, cfg.outer_lr)
     return theta_new, opt_state, value
 
 
-def _sample_pairs(pairs: Windows, k: int, rng) -> Windows:
-    if k >= len(pairs):
-        return pairs
-    return pairs[rng.choice(len(pairs), size=k, replace=False)]
+def _task_sum(theta: np.ndarray, task_values) -> tuple[np.ndarray, float]:
+    # (query loss, query gradient) per task, added in task order
+    total_grad, value = np.zeros_like(theta), 0.0
+    for task_loss, task_grad in task_values:
+        total_grad += task_grad
+        value += task_loss
+    return total_grad, value
+
+
+def _episode_sum(spec, theta, episodes, cfg) -> tuple[np.ndarray, float]:
+    """Summed query loss and gradient over (support, query) episodes, each
+    at the parameters its support set adapts ``theta`` to."""
+    return _task_sum(theta, (
+        value_and_grad(spec, inner_adapt(spec, theta, support, cfg.inner_lr, cfg.inner_steps), query)
+        for support, query in episodes
+    ))
+
+
+def _linear_episode_sum(theta, support, query, cfg) -> tuple[np.ndarray, float]:
+    """:func:`_episode_sum` for the linear family on stacked ``(K, shots, w)`` episodes: one
+    matmul over the task axis per pass, with each task's arithmetic, and so its bits, unchanged."""
+    adapted = theta[None, :]  # broadcast against the task axis until the first step
+    for _ in range(cfg.inner_steps):
+        adapted = adapted - cfg.inner_lr * _grad_linear(None, adapted, *support)[1]
+    residuals, grads = _grad_linear(None, adapted, *query)
+    return _task_sum(theta, ((float(r @ r), g) for r, g in zip(residuals, grads)))
+
+
+def _stack(pools: list[Windows]):
+    # one pool kind of every task: (K, n, w) and (K, n) arrays when each holds n rows, else per-task lists
+    X, y = [pool.X for pool in pools], [pool.y for pool in pools]
+    return (np.stack(X), np.stack(y)) if len({len(v) for v in y}) == 1 else (X, y)
+
+
+def _draw(pool, picked: np.ndarray, shots: int, rng):
+    # one pool kind's episode rows for each picked task, drawn as the module docstring says
+    X, y = pool
+    if isinstance(X, np.ndarray):
+        rows = rng.random((len(picked), X.shape[1])).argsort(axis=1, kind="stable")[:, :shots]
+        return X[picked[:, None], rows], y[picked[:, None], rows]
+    rows = [rng.random(len(y[t])).argsort(kind="stable")[:shots] for t in picked]
+    return [X[t][r] for t, r in zip(picked, rows)], [y[t][r] for t, r in zip(picked, rows)]
 
 
 def meta_train(
@@ -203,27 +223,27 @@ def meta_train(
     per-iteration meta-loss curve. Deterministic per seed."""
     if not train_tasks:
         raise ValueError("no training tasks")
+    if not all(task.support and task.query for task in train_tasks):
+        raise ValueError("every training task needs a non-empty support and query set")
     n_tasks = len(train_tasks)
     n_pick = n_tasks if cfg.tasks_per_iter is None else cfg.tasks_per_iter
     if n_pick > n_tasks:
         raise ValueError(f"tasks_per_iter={n_pick} exceeds the {n_tasks} available tasks")
     theta = init_params(spec, derive_seed(seed, "meta-init")) if theta0 is None else theta0.copy()
     opt_state = init_optimizer(cfg.optimizer, theta.size)
+    pools = [_stack([task.support for task in train_tasks]), _stack([task.query for task in train_tasks])]
+    batched = spec.family == "linear" and all(isinstance(X, np.ndarray) for X, _ in pools)
     curve: list[tuple[int, float]] = []
     for it in range(cfg.meta_iterations):
         rng = spawn(seed, "meta-iter", it)
         picked = rng.choice(n_tasks, size=n_pick, replace=False)
-        batch = []
-        for t in picked:
-            task = train_tasks[int(t)]
-            batch.append(
-                TaskDataset(
-                    task_id=task.task_id,
-                    support=_sample_pairs(task.support, cfg.shots, rng),
-                    query=_sample_pairs(task.query, cfg.shots, rng),
-                )
-            )
-        theta, opt_state, value = outer_step(spec, theta, batch, cfg, opt_state)
+        support, query = (_draw(pool, picked, cfg.shots, rng) for pool in pools)
+        if batched:
+            total_grad, value = _linear_episode_sum(theta, support, query, cfg)
+        else:
+            episodes = [(Windows(*s), Windows(*q)) for s, q in zip(zip(*support), zip(*query))]
+            total_grad, value = _episode_sum(spec, theta, episodes, cfg)
+        theta, opt_state = optimizer_step(opt_state, theta, total_grad, cfg.outer_lr)
         curve.append((it, value))
     return theta, curve
 

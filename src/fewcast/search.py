@@ -78,10 +78,7 @@ def build_search_space(
 
 
 def space_size(space: SearchSpace) -> int:
-    size = 1
-    for level in space.levels:
-        size *= len(level.options)
-    return size
+    return math.prod(len(level.options) for level in space.levels)
 
 
 def config_from_choices(space: SearchSpace, choices: tuple[int, ...]) -> PipelineConfig:
@@ -92,16 +89,7 @@ def config_from_choices(space: SearchSpace, choices: tuple[int, ...]) -> Pipelin
         if not 0 <= index < len(level.options):
             raise ValueError(f"choice {index} out of range for level {level.name!r}")
         resolved[level.name] = level.options[index]
-    return PipelineConfig(
-        family=space.family,
-        width=resolved["width"],
-        inner_lr=resolved["inner_lr"],
-        outer_lr=resolved["outer_lr"],
-        finetune_lr=resolved["finetune_lr"],
-        optimizer=resolved["optimizer"],
-        shots=resolved.get("shots"),
-        choices=tuple(int(c) for c in choices),
-    )
+    return PipelineConfig(family=space.family, choices=tuple(int(c) for c in choices), **resolved)
 
 
 @dataclass

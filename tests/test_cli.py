@@ -455,6 +455,14 @@ class TestConfigFile:
                    *flag_form, *FAST) == 0
         assert len((out / "seed_1" / "trajectory.jsonl").read_text().splitlines()) == 2
 
+    def test_non_utf8_config_usage_error(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"seed": 1}\xff')
+        proc = run_child("generate", "--config", cfg, "--out", tmp_path / "x")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "overrides", [{"budget": "many"}, {"budget": 2.5}, {"family": "cnn"}, {"search_shots": "yes"}]
     )

@@ -1,9 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fewcast import meta
-from fewcast.data import TaskDataset, WindowPair, build_bundle, generate_synthetic_tasks, normalize
-from fewcast.learners import LearnerSpec, gradient, init_optimizer, init_params, loss, optimizer_step
+from fewcast.data import (
+    TaskDataset,
+    WindowPair,
+    build_bundle,
+    csv_text,
+    generate_synthetic_tasks,
+    load_csv,
+    normalize,
+)
+from fewcast.learners import (
+    OPTIMIZERS,
+    LearnerSpec,
+    gradient,
+    init_optimizer,
+    init_params,
+    loss,
+    optimizer_step,
+    value_and_grad,
+)
 from fewcast.meta import (
     MetaConfig,
     PipelineConfig,
@@ -36,6 +55,16 @@ def synthetic_bundle(seed=42):
     return build_bundle(series[:4], series[4], window=24, seed=seed), series[4]
 
 
+def draw_episodes(rng, tasks, n_pick, shots):
+    """The episode draw, written per task: pick the tasks, then one uniform
+    key per pool row, every picked task's support keys before any query
+    keys, and the rows of the ``shots`` smallest keys in stable-argsort order."""
+    picked = [tasks[int(t)] for t in rng.choice(len(tasks), size=n_pick, replace=False)]
+    support_rows = [rng.random(len(task.support)).argsort(kind="stable")[:shots] for task in picked]
+    query_rows = [rng.random(len(task.query)).argsort(kind="stable")[:shots] for task in picked]
+    return list(zip(picked, support_rows, query_rows))
+
+
 def per_pair_meta_train(spec, cfg, tasks, seed):
     """Oracle for ``meta_train`` with every task per iteration and one inner
     step: the sampled rows are collected into lists of pairs, and each query
@@ -45,20 +74,49 @@ def per_pair_meta_train(spec, cfg, tasks, seed):
     curve = []
     for it in range(cfg.meta_iterations):
         rng = spawn(seed, "meta-iter", it)
-
-        def draw(pool):
-            return [pool[int(i)] for i in rng.choice(len(pool), size=cfg.shots, replace=False)]
-
         total, value = np.zeros_like(theta), 0.0
-        for t in rng.choice(len(tasks), size=len(tasks), replace=False):
-            support = draw(tasks[t].support)
-            query = draw(tasks[t].query)
+        for task, support_rows, query_rows in draw_episodes(rng, tasks, len(tasks), cfg.shots):
+            support = [task.support[int(i)] for i in support_rows]
+            query = [task.query[int(i)] for i in query_rows]
             theta_k = inner_adapt(spec, theta, support, cfg.inner_lr)
             total += gradient(spec, theta_k, query)
             value += loss(spec, theta_k, query)
         theta, state = optimizer_step(state, theta, total, cfg.outer_lr)
         curve.append((it, value))
     return theta, curve
+
+
+def per_task_meta_train(spec, cfg, tasks, seed):
+    """Oracle for ``meta_train``: ``inner_adapt`` and ``value_and_grad`` on
+    each picked task's drawn rows ``pool[idx]``, one task at a time."""
+    theta = init_params(spec, derive_seed(seed, "meta-init"))
+    state = init_optimizer(cfg.optimizer, theta.size)
+    curve = []
+    for it in range(cfg.meta_iterations):
+        rng = spawn(seed, "meta-iter", it)
+        total, value = np.zeros_like(theta), 0.0
+        episodes = draw_episodes(rng, tasks, cfg.tasks_per_iter or len(tasks), cfg.shots)
+        for task, support_rows, query_rows in episodes:
+            theta_k = inner_adapt(spec, theta, task.support[support_rows], cfg.inner_lr, cfg.inner_steps)
+            task_loss, task_grad = value_and_grad(spec, theta_k, task.query[query_rows])
+            total += task_grad
+            value += task_loss
+        theta, state = optimizer_step(state, theta, total, cfg.outer_lr)
+        curve.append((it, value))
+    return theta, curve
+
+
+def unequal_bundle(tmp_path):
+    """Source tasks of 168, 120 and 96 hours read back from a task CSV, so
+    their support and query pools differ in length."""
+    series = [
+        replace(s, values=s.values[:hours])
+        for s, hours in zip(generate_synthetic_tasks("synthetic", 4, 168, seed=9), (168, 120, 96, 168))
+    ]
+    path = tmp_path / "tasks.csv"
+    path.write_text(csv_text(series), encoding="utf-8")
+    loaded = load_csv(path)
+    return build_bundle(loaded[:3], loaded[3], window=24, seed=9)
 
 
 class TestInnerAdapt:
@@ -213,6 +271,50 @@ class TestMetaTrain:
             got, _ = meta_train(LINEAR_1D, cfg, [task], seed=0, theta0=np.array([w, b]))
             expected = two_stage_oracle(w, b, x_s, y_s, x_q, y_q, 0.03, 0.07)
             assert np.max(np.abs(got - np.array(expected))) < 1e-10
+
+
+class TestEpisodeDraw:
+    """The linear family takes each meta-iteration as matmuls stacked over
+    the task axis; the per-task oracle runs the same drawn rows one task at a
+    time and must give the same bits."""
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    @pytest.mark.parametrize(
+        "episode",
+        [dict(tasks_per_iter=2), dict(shots=500), dict(inner_steps=3)],
+        ids=["tasks_per_iter_2_of_4", "whole_pools", "inner_steps_3"],
+    )
+    def test_stacked_linear_step_matches_per_task_oracle(self, monkeypatch, optimizer, episode):
+        bundle, _ = synthetic_bundle()
+        spec = LearnerSpec("linear", input_dim=24)
+        cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer=optimizer, meta_iterations=6, **episode)
+        expected_theta, expected_curve = per_task_meta_train(spec, cfg, bundle.train_tasks, seed=21)
+
+        def not_per_task(*args, **kwargs):
+            raise AssertionError("the stacked linear step fell back to the per-task loop")
+
+        monkeypatch.setattr(meta, "value_and_grad", not_per_task)
+        theta, curve = meta_train(spec, cfg, bundle.train_tasks, seed=21)
+        assert theta.tobytes() == expected_theta.tobytes()
+        assert curve == expected_curve
+
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_unequal_pools_train_per_task(self, tmp_path, family):
+        bundle = unequal_bundle(tmp_path)
+        assert len({len(task.support) for task in bundle.train_tasks}) == 3
+        spec = LearnerSpec(family, input_dim=24, width=8)
+        cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer="adam", meta_iterations=5, tasks_per_iter=2)
+        runs = [meta_train(spec, cfg, bundle.train_tasks, seed=4) for _ in range(2)]
+        assert runs[0][0].tobytes() == runs[1][0].tobytes()
+        expected_theta, expected_curve = per_task_meta_train(spec, cfg, bundle.train_tasks, seed=4)
+        assert runs[0][0].tobytes() == expected_theta.tobytes()
+        assert runs[0][1] == expected_curve
+
+    def test_empty_pool_rejected(self):
+        task = TaskDataset("t", support=[pair([1.0], 1.0)], query=[pair([2.0], 2.0)])
+        empty = replace(task, query=task.query[:0])
+        with pytest.raises(ValueError, match="non-empty"):
+            meta_train(LINEAR_1D, cfg_sgd(meta_iterations=1), [task, empty], seed=0)
 
 
 class TestFineTune:
