@@ -446,6 +446,8 @@ def _require_seed(args) -> None:
     seed = getattr(args, "seed", "not-applicable")
     if seed is None or seed == []:
         raise UsageError("--seed is required (on the command line or in --config)")
+    if isinstance(seed, list) and len(set(seed)) < len(seed):
+        raise UsageError(f"--seed lists seed {next(s for s in seed if seed.count(s) > 1)} more than once")
 
 
 def main(argv=None) -> int:

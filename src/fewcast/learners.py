@@ -97,30 +97,26 @@ def _init_plan(spec: LearnerSpec) -> list[tuple[int, int | None]]:
 
 
 def _unpack_mlp(spec, theta):
+    # theta (p,) or a task stack (K, p); every block keeps the leading axes
     d, h = spec.input_dim, spec.width
-    i = 0
-    W1 = theta[i : i + h * d].reshape(h, d)
-    i += h * d
-    b1 = theta[i : i + h]
-    i += h
-    v = theta[i : i + h]
-    i += h
-    return W1, b1, v, theta[i]
+    W1 = theta[..., : h * d].reshape(theta.shape[:-1] + (h, d))
+    b1, v = theta[..., h * d : h * d + h], theta[..., h * d + h : h * d + 2 * h]
+    return W1, b1, v, theta[..., -1:]
 
 
 def _unpack_recurrent(spec, theta):
+    # the gate and readout vectors come as rows (..., 1, h), to broadcast over a batch
     h = spec.width
     out, i = [], 0
     for _ in range(3):  # update gate, reset gate, candidate
-        out.append(theta[i : i + h])
+        out.append(theta[..., None, i : i + h])
         i += h
-        out.append(theta[i : i + h * h].reshape(h, h))
+        out.append(theta[..., i : i + h * h].reshape(theta.shape[:-1] + (h, h)))
         i += h * h
-        out.append(theta[i : i + h])
+        out.append(theta[..., None, i : i + h])
         i += h
-    out.append(theta[i : i + h])
-    i += h
-    out.append(theta[i])
+    out.append(theta[..., None, i : i + h])
+    out.append(theta[..., -1:])
     return out  # wz, Uz, bz, wr, Ur, br, wh, Uh, bh, v, c
 
 
@@ -134,28 +130,30 @@ def _check_theta(spec, theta):
         raise ValueError(f"parameter vector has shape {theta.shape}; spec requires ({n_params(spec)},)")
 
 
+# Every pass takes theta (p,) against X (n, w), or a task stack: theta (K, p),
+# or (1, p) broadcast, against X (K, n, w). Each task's matmul is then the one
+# a single task runs, so a stacked pass gives each task's bits unchanged.
+
+
 def _forward_linear(spec, theta, X):
-    # theta (p,) against X (n, d), or a stack (K, p) against (K, n, d): each
-    # task's matmul is then the one a single task runs, bit for bit
     return (X @ theta[..., :-1, None])[..., 0] + theta[..., -1:]
 
 
 def _forward_mlp(spec, theta, X, want_cache=False):
     W1, b1, v, b2 = _unpack_mlp(spec, theta)
-    hidden = X @ W1.T  # the one (batch, width) buffer; the bias and tanh run in place
-    hidden += b1
+    hidden = X @ W1.swapaxes(-1, -2)  # the one (batch, width) buffer; the bias and tanh run in place
+    hidden += b1[..., None, :]
     np.tanh(hidden, out=hidden)
-    yhat = hidden @ v + b2
+    yhat = (hidden @ v[..., None])[..., 0] + b2
     return (yhat, hidden) if want_cache else yhat
 
 
 def _forward_recurrent(spec, theta, X, want_cache=False):
     wz, Uz, bz, wr, Ur, br, wh, Uh, bh, v, c = _unpack_recurrent(spec, theta)
-    batch, w = X.shape
-    h = np.zeros((batch, spec.width))
+    h = np.zeros(X.shape[:-1] + (spec.width,))
     steps = []
-    for t in range(w):
-        x_t = X[:, t][:, None]
+    for t in range(X.shape[-1]):
+        x_t = X[..., t, None]
         z = _sigmoid(x_t * wz + h @ Uz + bz)
         r = _sigmoid(x_t * wr + h @ Ur + br)
         hbar = np.tanh(x_t * wh + (r * h) @ Uh + bh)
@@ -163,8 +161,11 @@ def _forward_recurrent(spec, theta, X, want_cache=False):
         if want_cache:
             steps.append((h, z, r, hbar))
         h = h_new
-    yhat = h @ v + c
+    yhat = (h @ v.swapaxes(-1, -2))[..., 0] + c
     return (yhat, h, steps) if want_cache else yhat
+
+
+_FORWARDS = {"linear": _forward_linear, "mlp": _forward_mlp, "recurrent": _forward_recurrent}
 
 
 def forward(spec: LearnerSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -172,11 +173,7 @@ def forward(spec: LearnerSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     _check_theta(spec, theta)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise ValueError(f"inputs have shape {X.shape}; spec requires (n, {spec.input_dim})")
-    if spec.family == "linear":
-        return _forward_linear(spec, theta, X)
-    if spec.family == "mlp":
-        return _forward_mlp(spec, theta, X)
-    return _forward_recurrent(spec, theta, X)
+    return _FORWARDS[spec.family](spec, theta, X)
 
 
 def predict(spec: LearnerSpec, theta: np.ndarray, x: np.ndarray) -> float:
@@ -203,12 +200,7 @@ def value_and_grad(
     """:func:`loss` and :func:`gradient` together, from one forward pass."""
     X, y = pairs_to_arrays(data)
     _check_theta(spec, theta)
-    if spec.family == "linear":
-        residuals, grad = _grad_linear(spec, theta, X, y)
-    elif spec.family == "mlp":
-        residuals, grad = _grad_mlp(spec, theta, X, y)
-    else:
-        residuals, grad = _grad_recurrent(spec, theta, X, y)
+    residuals, grad = RESIDUALS_AND_GRADIENTS[spec.family](spec, theta, X, y)
     return _squared_error(residuals, average), (grad / len(y) if average else grad)
 
 
@@ -236,17 +228,17 @@ def _grad_mlp(spec, theta, X, y):
     yhat, hidden = _forward_mlp(spec, theta, X, want_cache=True)
     residuals = yhat - y
     dy = 2.0 * residuals
-    dv = hidden.T @ dy
-    db2 = dy.sum()
+    dv = (hidden.swapaxes(-1, -2) @ dy[..., None])[..., 0]
+    db2 = dy.sum(axis=-1, keepdims=True)
     # (dy v)(1 - h^2), as the out-of-place form rounds it, with hidden
     # overwritten by 1 - h^2 instead of two more (batch, width) temporaries
-    da = np.multiply.outer(dy, v)
+    da = dy[..., :, None] * v[..., None, :]
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     da *= hidden
-    dW1 = da.T @ X
-    db1 = da.sum(axis=0)
-    return residuals, np.concatenate([dW1.ravel(), db1, dv, [db2]])
+    dW1 = da.swapaxes(-1, -2) @ X
+    db1 = da.sum(axis=-2)
+    return residuals, np.concatenate([dW1.reshape(db1.shape[:-1] + (-1,)), db1, dv, db2], axis=-1)
 
 
 def _grad_recurrent(spec, theta, X, y):
@@ -255,45 +247,47 @@ def _grad_recurrent(spec, theta, X, y):
     residuals = yhat - y
     dy = 2.0 * residuals
 
-    g_wz, g_Uz, g_bz = np.zeros_like(wz), np.zeros_like(Uz), np.zeros_like(bz)
-    g_wr, g_Ur, g_br = np.zeros_like(wr), np.zeros_like(Ur), np.zeros_like(br)
-    g_wh, g_Uh, g_bh = np.zeros_like(wh), np.zeros_like(Uh), np.zeros_like(bh)
-    g_v = h_final.T @ dy
-    g_c = dy.sum()
+    lead, width = X.shape[:-2], spec.width
+    g_wz, g_bz, g_wr, g_br, g_wh, g_bh = (np.zeros(lead + (width,)) for _ in range(6))
+    g_Uz, g_Ur, g_Uh = (np.zeros(lead + (width, width)) for _ in range(3))
+    g_v = (h_final.swapaxes(-1, -2) @ dy[..., None])[..., 0]
+    g_c = dy.sum(axis=-1, keepdims=True)
 
-    dh = np.outer(dy, v)
-    for t in range(X.shape[1] - 1, -1, -1):
+    dh = dy[..., :, None] * v
+    for t in range(X.shape[-1] - 1, -1, -1):
         h_prev, z, r, hbar = steps[t]
-        x_t = X[:, t][:, None]
+        x_t = X[..., t, None]
 
         dz = dh * (hbar - h_prev)
         dhbar = dh * z
         dh_prev = dh * (1.0 - z)
 
         dpre_h = dhbar * (1.0 - hbar**2)
-        g_wh += (dpre_h * x_t).sum(axis=0)
-        g_Uh += (r * h_prev).T @ dpre_h
-        g_bh += dpre_h.sum(axis=0)
-        drh = dpre_h @ Uh.T
+        g_wh += (dpre_h * x_t).sum(axis=-2)
+        g_Uh += (r * h_prev).swapaxes(-1, -2) @ dpre_h
+        g_bh += dpre_h.sum(axis=-2)
+        drh = dpre_h @ Uh.swapaxes(-1, -2)
         dh_prev += drh * r
 
         dpre_r = (drh * h_prev) * r * (1.0 - r)
-        g_wr += (dpre_r * x_t).sum(axis=0)
-        g_Ur += h_prev.T @ dpre_r
-        g_br += dpre_r.sum(axis=0)
-        dh_prev += dpre_r @ Ur.T
+        g_wr += (dpre_r * x_t).sum(axis=-2)
+        g_Ur += h_prev.swapaxes(-1, -2) @ dpre_r
+        g_br += dpre_r.sum(axis=-2)
+        dh_prev += dpre_r @ Ur.swapaxes(-1, -2)
 
         dpre_z = dz * z * (1.0 - z)
-        g_wz += (dpre_z * x_t).sum(axis=0)
-        g_Uz += h_prev.T @ dpre_z
-        g_bz += dpre_z.sum(axis=0)
-        dh_prev += dpre_z @ Uz.T
+        g_wz += (dpre_z * x_t).sum(axis=-2)
+        g_Uz += h_prev.swapaxes(-1, -2) @ dpre_z
+        g_bz += dpre_z.sum(axis=-2)
+        dh_prev += dpre_z @ Uz.swapaxes(-1, -2)
 
         dh = dh_prev
 
-    return residuals, np.concatenate(
-        [g_wz, g_Uz.ravel(), g_bz, g_wr, g_Ur.ravel(), g_br, g_wh, g_Uh.ravel(), g_bh, g_v, [g_c]]
-    )
+    blocks = [g_wz, g_Uz, g_bz, g_wr, g_Ur, g_br, g_wh, g_Uh, g_bh, g_v, g_c]
+    return residuals, np.concatenate([g.reshape(lead + (-1,)) for g in blocks], axis=-1)
+
+
+RESIDUALS_AND_GRADIENTS = {"linear": _grad_linear, "mlp": _grad_mlp, "recurrent": _grad_recurrent}
 
 
 # --- optimizers -----------------------------------------------------------

@@ -14,10 +14,10 @@ query-loss gradients evaluated at the adapted parameters.
 Meta-iteration ``it`` reads only ``spawn(seed, "meta-iter", it)``. It picks
 the tasks, then draws one uniform key per pool row, every picked task's
 support keys before any query keys, and takes each pool's ``shots`` rows
-of smallest key in stable-argsort order. The linear family runs the episode
-as matmuls stacked over the task axis; the other families, and pools of
-unequal length, run it task by task. Either way the per-task losses and
-gradients are added in task order, so both give the same bits.
+of smallest key in stable-argsort order. Every family runs the episode as
+passes stacked over the task axis; only pools of unequal length run it task
+by task. Either way the per-task losses and gradients are added in task
+order, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .learners import (
     LearnerSpec,
     NumericError,
     OPTIMIZERS,
-    _grad_linear,
+    RESIDUALS_AND_GRADIENTS,
     gradient,
     init_optimizer,
     init_params,
@@ -186,13 +186,16 @@ def _episode_sum(spec, theta, episodes, cfg) -> tuple[np.ndarray, float]:
     ))
 
 
-def _linear_episode_sum(theta, support, query, cfg) -> tuple[np.ndarray, float]:
-    """:func:`_episode_sum` for the linear family on stacked ``(K, shots, w)`` episodes: one
-    matmul over the task axis per pass, with each task's arithmetic, and so its bits, unchanged."""
+def _stacked_episode_sum(spec, theta, support, query, cfg) -> tuple[np.ndarray, float]:
+    """:func:`_episode_sum` on stacked ``(K, shots, w)`` episodes: one pass over the task axis
+    per step, with each task's arithmetic, and so its bits, unchanged."""
+    residuals_and_gradient = RESIDUALS_AND_GRADIENTS[spec.family]
     adapted = theta[None, :]  # broadcast against the task axis until the first step
     for _ in range(cfg.inner_steps):
-        adapted = adapted - cfg.inner_lr * _grad_linear(None, adapted, *support)[1]
-    residuals, grads = _grad_linear(None, adapted, *query)
+        step = residuals_and_gradient(spec, adapted, *support)[1]
+        step *= -cfg.inner_lr
+        adapted = np.add(step, adapted, out=step)  # adapted - lr * grad, in the gradient's buffer
+    residuals, grads = residuals_and_gradient(spec, adapted, *query)
     return _task_sum(theta, ((float(r @ r), g) for r, g in zip(residuals, grads)))
 
 
@@ -232,14 +235,14 @@ def meta_train(
     theta = init_params(spec, derive_seed(seed, "meta-init")) if theta0 is None else theta0.copy()
     opt_state = init_optimizer(cfg.optimizer, theta.size)
     pools = [_stack([task.support for task in train_tasks]), _stack([task.query for task in train_tasks])]
-    batched = spec.family == "linear" and all(isinstance(X, np.ndarray) for X, _ in pools)
+    stacked = all(isinstance(X, np.ndarray) for X, _ in pools)
     curve: list[tuple[int, float]] = []
     for it in range(cfg.meta_iterations):
         rng = spawn(seed, "meta-iter", it)
         picked = rng.choice(n_tasks, size=n_pick, replace=False)
         support, query = (_draw(pool, picked, cfg.shots, rng) for pool in pools)
-        if batched:
-            total_grad, value = _linear_episode_sum(theta, support, query, cfg)
+        if stacked:
+            total_grad, value = _stacked_episode_sum(spec, theta, support, query, cfg)
         else:
             episodes = [(Windows(*s), Windows(*q)) for s, q in zip(zip(*support), zip(*query))]
             total_grad, value = _episode_sum(spec, theta, episodes, cfg)

@@ -118,6 +118,8 @@ class TestSearch:
         ("train", ["--finetune-steps", 0]),
         ("train", ["--vanilla", "--train-steps", 0]),
         ("train", ["--vanilla", "--train-steps", -5]),
+        ("train", ["--seed", 1, 1]),
+        ("search", ["--seed", 2, 3, 2]),
     ],
 )
 def test_invalid_setting_is_usage_error_before_any_work(command, flags, data_dir, tmp_path, capsys):
@@ -454,6 +456,16 @@ class TestConfigFile:
         assert run("search", "--config", cfg, "--data", data_dir, "--family", "linear", "--out", out,
                    *flag_form, *FAST) == 0
         assert len((out / "seed_1" / "trajectory.jsonl").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("command", ["search", "train"])
+    def test_repeated_config_seed_usage_error(self, command, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": [1, 1]}))
+        out = tmp_path / "x"
+        assert run(command, "--config", cfg, "--data", data_dir, "--family", "linear", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: --seed lists seed 1 more than once\n"
+        assert not out.exists()
 
     def test_non_utf8_config_usage_error(self, tmp_path):
         cfg = tmp_path / "c.json"

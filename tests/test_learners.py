@@ -218,6 +218,25 @@ def test_in_place_mlp_pass_keeps_the_out_of_place_bits(width, batch):
     assert got_grad.tobytes() == grad.tobytes()
 
 
+@pytest.mark.parametrize("batch", [1, 10, 115])
+@pytest.mark.parametrize("family, width", [("mlp", 1), ("mlp", 128), ("mlp", 1024),
+                                           ("recurrent", 1), ("recurrent", 8), ("recurrent", 128)])
+def test_stacked_and_broadcast_passes_keep_the_per_task_bits(family, width, batch):
+    rng = np.random.default_rng(width + batch)
+    spec = LearnerSpec(family, input_dim=24, width=width)
+    thetas = init_params(spec, seed=3) + 0.1 * rng.standard_normal((4, n_params(spec)))
+    X, y = rng.standard_normal((4, batch, 24)), rng.standard_normal((4, batch))
+    forward_pass, gradient_pass = learners._FORWARDS[family], learners.RESIDUALS_AND_GRADIENTS[family]
+    for stack in (thetas, thetas[:1]):  # one theta per task, or one broadcast over the tasks
+        yhats = forward_pass(spec, stack, X)
+        residuals, grads = gradient_pass(spec, stack, X, y)
+        for k, theta in enumerate(np.broadcast_to(stack, thetas.shape)):
+            value, grad = value_and_grad(spec, theta.copy(), pairs_from(X[k], y[k]))
+            assert yhats[k].tobytes() == forward(spec, theta, X[k]).tobytes()
+            assert np.float64(residuals[k] @ residuals[k]).tobytes() == np.float64(value).tobytes()
+            assert grads[k].tobytes() == grad.tobytes()
+
+
 class TestOptimizers:
     def test_sgd_step(self):
         state = init_optimizer("sgd", 1)

@@ -273,32 +273,42 @@ class TestMetaTrain:
             assert np.max(np.abs(got - np.array(expected))) < 1e-10
 
 
-class TestEpisodeDraw:
-    """The linear family takes each meta-iteration as matmuls stacked over
-    the task axis; the per-task oracle runs the same drawn rows one task at a
-    time and must give the same bits."""
+EPISODES = {"tasks_per_iter_2_of_4": dict(tasks_per_iter=2), "whole_pools": dict(shots=500),
+            "inner_steps_3": dict(inner_steps=3)}
 
-    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
-    @pytest.mark.parametrize(
-        "episode",
-        [dict(tasks_per_iter=2), dict(shots=500), dict(inner_steps=3)],
-        ids=["tasks_per_iter_2_of_4", "whole_pools", "inner_steps_3"],
-    )
-    def test_stacked_linear_step_matches_per_task_oracle(self, monkeypatch, optimizer, episode):
+
+class TestEpisodeDraw:
+    """Every family takes each meta-iteration as passes stacked over the task
+    axis; the per-task oracle runs the same drawn rows one task at a time and
+    must give the same bits."""
+
+    @staticmethod
+    def assert_stacked_matches_oracle(monkeypatch, spec, optimizer, episode):
         bundle, _ = synthetic_bundle()
-        spec = LearnerSpec("linear", input_dim=24)
-        cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer=optimizer, meta_iterations=6, **episode)
+        cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer=optimizer, meta_iterations=6, **EPISODES[episode])
         expected_theta, expected_curve = per_task_meta_train(spec, cfg, bundle.train_tasks, seed=21)
 
         def not_per_task(*args, **kwargs):
-            raise AssertionError("the stacked linear step fell back to the per-task loop")
+            raise AssertionError("the stacked step fell back to the per-task loop")
 
         monkeypatch.setattr(meta, "value_and_grad", not_per_task)
         theta, curve = meta_train(spec, cfg, bundle.train_tasks, seed=21)
         assert theta.tobytes() == expected_theta.tobytes()
         assert curve == expected_curve
 
-    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    @pytest.mark.parametrize("episode", EPISODES)
+    def test_stacked_linear_step_matches_per_task_oracle(self, monkeypatch, optimizer, episode):
+        self.assert_stacked_matches_oracle(monkeypatch, LearnerSpec("linear", input_dim=24), optimizer, episode)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("episode", EPISODES)
+    @pytest.mark.parametrize("family, width", [("mlp", 8), ("recurrent", 4)])
+    def test_stacked_step_matches_per_task_oracle(self, monkeypatch, family, width, optimizer, episode):
+        spec = LearnerSpec(family, input_dim=24, width=width)
+        self.assert_stacked_matches_oracle(monkeypatch, spec, optimizer, episode)
+
+    @pytest.mark.parametrize("family", ["linear", "mlp", "recurrent"])
     def test_unequal_pools_train_per_task(self, tmp_path, family):
         bundle = unequal_bundle(tmp_path)
         assert len({len(task.support) for task in bundle.train_tasks}) == 3
