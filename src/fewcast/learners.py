@@ -244,6 +244,7 @@ def _grad_mlp(spec, theta, X, y):
 def _grad_recurrent(spec, theta, X, y):
     wz, Uz, bz, wr, Ur, br, wh, Uh, bh, v, c = _unpack_recurrent(spec, theta)
     yhat, h_final, steps = _forward_recurrent(spec, theta, X, want_cache=True)
+    UzT, UrT, UhT = (np.ascontiguousarray(U.swapaxes(-1, -2)) for U in (Uz, Ur, Uh))  # once, not per step
     residuals = yhat - y
     dy = 2.0 * residuals
 
@@ -266,20 +267,20 @@ def _grad_recurrent(spec, theta, X, y):
         g_wh += (dpre_h * x_t).sum(axis=-2)
         g_Uh += (r * h_prev).swapaxes(-1, -2) @ dpre_h
         g_bh += dpre_h.sum(axis=-2)
-        drh = dpre_h @ Uh.swapaxes(-1, -2)
+        drh = dpre_h @ UhT
         dh_prev += drh * r
 
         dpre_r = (drh * h_prev) * r * (1.0 - r)
         g_wr += (dpre_r * x_t).sum(axis=-2)
         g_Ur += h_prev.swapaxes(-1, -2) @ dpre_r
         g_br += dpre_r.sum(axis=-2)
-        dh_prev += dpre_r @ Ur.swapaxes(-1, -2)
+        dh_prev += dpre_r @ UrT
 
         dpre_z = dz * z * (1.0 - z)
         g_wz += (dpre_z * x_t).sum(axis=-2)
         g_Uz += h_prev.swapaxes(-1, -2) @ dpre_z
         g_bz += dpre_z.sum(axis=-2)
-        dh_prev += dpre_z @ Uz.swapaxes(-1, -2)
+        dh_prev += dpre_z @ UzT
 
         dh = dh_prev
 

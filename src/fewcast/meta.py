@@ -11,13 +11,16 @@ outer gradient treats the adapted parameters' Jacobian as identity
 (first-order approximation), so it is simply the sum over tasks of the
 query-loss gradients evaluated at the adapted parameters.
 
-Meta-iteration ``it`` reads only ``spawn(seed, "meta-iter", it)``. It picks
-the tasks, then draws one uniform key per pool row, every picked task's
-support keys before any query keys, and takes each pool's ``shots`` rows
-of smallest key in stable-argsort order. Every family runs the episode as
-passes stacked over the task axis; only pools of unequal length run it task
-by task. Either way the per-task losses and gradients are added in task
-order, so both give the same bits.
+Block ``j`` of ``B = EPISODE_BLOCK`` meta-iterations reads only
+``spawn(seed, "meta-block", j)``, always in full, so a run of ``r``
+iterations is the first ``r`` of any longer one. It draws the task picks
+(first ``n_pick`` of a stable argsort of ``random((B, n_tasks))``), then
+``random((B, n_t))`` support keys per task in task order, then query keys
+alike. An episode takes the rows of a pool's ``shots`` smallest keys in
+ascending row order. One fancy index per pool kind gathers the block, and
+each iteration runs as passes stacked over the task axis, unless pools
+shorter than ``shots`` differ in length: then it runs task by task. Both add
+the per-task losses and gradients in task order, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .learners import (
 from .rng import derive_seed, spawn
 
 LR_MIN, LR_MAX = 1e-4, 0.5
+EPISODE_BLOCK = 50  # meta-iterations drawn at once, the default meta_iterations; part of the stream rule
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,9 @@ class MetaConfig:
     a searched configuration replaces them (see ``_meta_config_for``).
     ``tasks_per_iter=None`` uses every source task each iteration; ``shots``
     is the number of support and query rows each picked task draws per
-    episode: those with the smallest uniform keys, support keys drawn first
-    (a pool of at most ``shots`` rows is used whole, in key order).
+    episode: those with the smallest uniform keys, in ascending row order (a
+    pool of at most ``shots`` rows is used whole). The module docstring gives
+    the stream each block of ``EPISODE_BLOCK`` iterations reads.
     """
 
     inner_lr: float = 0.01
@@ -199,20 +204,22 @@ def _stacked_episode_sum(spec, theta, support, query, cfg) -> tuple[np.ndarray, 
     return _task_sum(theta, ((float(r @ r), g) for r, g in zip(residuals, grads)))
 
 
-def _stack(pools: list[Windows]):
-    # one pool kind of every task: (K, n, w) and (K, n) arrays when each holds n rows, else per-task lists
-    X, y = [pool.X for pool in pools], [pool.y for pool in pools]
-    return (np.stack(X), np.stack(y)) if len({len(v) for v in y}) == 1 else (X, y)
-
-
-def _draw(pool, picked: np.ndarray, shots: int, rng):
-    # one pool kind's episode rows for each picked task, drawn as the module docstring says
-    X, y = pool
-    if isinstance(X, np.ndarray):
-        rows = rng.random((len(picked), X.shape[1])).argsort(axis=1, kind="stable")[:, :shots]
-        return X[picked[:, None], rows], y[picked[:, None], rows]
-    rows = [rng.random(len(y[t])).argsort(kind="stable")[:shots] for t in picked]
-    return [X[t][r] for t, r in zip(picked, rows)], [y[t][r] for t, r in zip(picked, rows)]
+def _draw_block(tasks: list[TaskDataset], n_pick: int, shots: int, rng) -> list[list]:
+    # one block's episodes, drawn as the module docstring says: per pool kind, each iteration's (X, y) of the picked
+    # tasks, as (K, m, w) and (K, m) slices of one gather when every task gives m rows, else per-task lists
+    picked = rng.random((EPISODE_BLOCK, len(tasks))).argsort(axis=1, kind="stable")[:, :n_pick]
+    kinds = []
+    for pools in ([task.support for task in tasks], [task.query for task in tasks]):
+        X, y, rows = np.concatenate([p.X for p in pools]), np.concatenate([p.y for p in pools]), []
+        for start, pool in zip(np.cumsum([0] + [len(p) for p in pools]), pools):
+            keys = rng.random((EPISODE_BLOCK, len(pool)))  # a pool of at most ``shots`` rows gives all of them
+            rows.append(start + np.sort(np.argpartition(keys, min(shots, len(pool)) - 1, axis=1)[:, :shots], axis=1))
+        if len({r.shape[1] for r in rows}) == 1:
+            index = np.stack(rows, axis=1)[np.arange(EPISODE_BLOCK)[:, None], picked]
+            kinds.append(list(zip(X[index], y[index])))
+        else:
+            kinds.append([([X[rows[t][i]] for t in ts], [y[rows[t][i]] for t in ts]) for i, ts in enumerate(picked)])
+    return kinds
 
 
 def meta_train(
@@ -234,14 +241,12 @@ def meta_train(
         raise ValueError(f"tasks_per_iter={n_pick} exceeds the {n_tasks} available tasks")
     theta = init_params(spec, derive_seed(seed, "meta-init")) if theta0 is None else theta0.copy()
     opt_state = init_optimizer(cfg.optimizer, theta.size)
-    pools = [_stack([task.support for task in train_tasks]), _stack([task.query for task in train_tasks])]
-    stacked = all(isinstance(X, np.ndarray) for X, _ in pools)
     curve: list[tuple[int, float]] = []
     for it in range(cfg.meta_iterations):
-        rng = spawn(seed, "meta-iter", it)
-        picked = rng.choice(n_tasks, size=n_pick, replace=False)
-        support, query = (_draw(pool, picked, cfg.shots, rng) for pool in pools)
-        if stacked:
+        if it % EPISODE_BLOCK == 0:
+            block = _draw_block(train_tasks, n_pick, cfg.shots, spawn(seed, "meta-block", it // EPISODE_BLOCK))
+        support, query = (kind[it % EPISODE_BLOCK] for kind in block)
+        if isinstance(support[0], np.ndarray) and isinstance(query[0], np.ndarray):
             total_grad, value = _stacked_episode_sum(spec, theta, support, query, cfg)
         else:
             episodes = [(Windows(*s), Windows(*q)) for s, q in zip(zip(*support), zip(*query))]

@@ -24,6 +24,7 @@ from .stats import best_so_far
 
 WIDTH_OPTIONS = (128, 256, 384, 512, 640, 768, 896, 1024)
 SHOT_OPTIONS = (1, 5, 10, 20)
+MAX_GRID_RESOLUTION = 1000  # ample (the paper uses 8); the grid is a tuple of floats, and 10**8 exhausted memory
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class SearchSpace:
 
 def lr_grid(resolution: int) -> tuple[float, ...]:
     """Log-spaced learning-rate grid over [1e-4, 0.5], endpoints included."""
-    if resolution < 2:
-        raise ValueError(f"grid resolution must be >= 2, got {resolution}")
+    if not 2 <= resolution <= MAX_GRID_RESOLUTION:
+        raise ValueError(f"grid resolution must lie in [2, {MAX_GRID_RESOLUTION}], got {resolution}")
     return tuple(float(v) for v in np.geomspace(LR_MIN, LR_MAX, resolution))
 
 
@@ -61,8 +62,8 @@ def build_search_space(
     """
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    if c_uct <= 0.0:
-        raise ValueError(f"c_uct must be positive, got {c_uct}")
+    if not (math.isfinite(c_uct) and c_uct > 0.0):
+        raise ValueError(f"c_uct must be finite and positive, got {c_uct}")
     widths = (1,) if family == "linear" else WIDTH_OPTIONS
     grid = lr_grid(grid_resolution)
     levels = [

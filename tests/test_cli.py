@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import platform
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import fewcast
 from fewcast.cli import main
 from fewcast.data import csv_text, TimeSeries
+from fewcast.search import MAX_GRID_RESOLUTION
 
 
 FAST = ["--meta-iterations", "5"]
@@ -114,6 +116,9 @@ class TestSearch:
         ("search", ["--kappa", 1.5]),
         ("search", ["--grid-resolution", 1]),
         ("search", ["--c-uct", 0]),
+        ("search", ["--c-uct", "inf"]),
+        ("search", ["--c-uct", "nan"]),
+        ("search", ["--grid-resolution", MAX_GRID_RESOLUTION + 1]),
         ("train", ["--shots", 0]),
         ("train", ["--finetune-steps", 0]),
         ("train", ["--vanilla", "--train-steps", 0]),
@@ -316,7 +321,7 @@ def _drop(key):
         # sgd at the CLI defaults diverges at width 512 on the second seed,
         # after the first has finished
         pytest.param(lambda tmp, data, ckpt: ["train", "--data", data, "--family", "mlp", "--width", 512,
-                                              "--seed", 1, 2, 3], 4, id="train-defaults-diverge"),
+                                              "--seed", 1, 4], 4, id="train-defaults-diverge"),
         pytest.param(lambda tmp, data, ckpt: ["train", "--data", data, "--family", "linear", "--vanilla",
                                               "--finetune-lr", 0.5, "--seed", 1], 4, id="vanilla-infinite-mse"),
         *[
@@ -465,6 +470,16 @@ class TestConfigFile:
         assert run(command, "--config", cfg, "--data", data_dir, "--family", "linear", "--out", out) == 2
         err = capsys.readouterr().err
         assert err == "usage error: --seed lists seed 1 more than once\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("c_uct", [math.inf, math.nan])
+    def test_non_finite_config_c_uct_usage_error(self, c_uct, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 1, "c_uct": c_uct}))  # written as Infinity / NaN
+        out = tmp_path / "x"
+        assert run("search", "--config", cfg, "--data", data_dir, "--family", "linear", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: c_uct must be finite and positive, got {c_uct}\n"
         assert not out.exists()
 
     def test_non_utf8_config_usage_error(self, tmp_path):

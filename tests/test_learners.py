@@ -218,7 +218,7 @@ def test_in_place_mlp_pass_keeps_the_out_of_place_bits(width, batch):
     assert got_grad.tobytes() == grad.tobytes()
 
 
-@pytest.mark.parametrize("batch", [1, 10, 115])
+@pytest.mark.parametrize("batch", [1, 5, 10, 115])
 @pytest.mark.parametrize("family, width", [("mlp", 1), ("mlp", 128), ("mlp", 1024),
                                            ("recurrent", 1), ("recurrent", 8), ("recurrent", 128)])
 def test_stacked_and_broadcast_passes_keep_the_per_task_bits(family, width, batch):

@@ -55,14 +55,29 @@ def synthetic_bundle(seed=42):
     return build_bundle(series[:4], series[4], window=24, seed=seed), series[4]
 
 
-def draw_episodes(rng, tasks, n_pick, shots):
-    """The episode draw, written per task: pick the tasks, then one uniform
-    key per pool row, every picked task's support keys before any query
-    keys, and the rows of the ``shots`` smallest keys in stable-argsort order."""
-    picked = [tasks[int(t)] for t in rng.choice(len(tasks), size=n_pick, replace=False)]
-    support_rows = [rng.random(len(task.support)).argsort(kind="stable")[:shots] for task in picked]
-    query_rows = [rng.random(len(task.query)).argsort(kind="stable")[:shots] for task in picked]
-    return list(zip(picked, support_rows, query_rows))
+BLOCK = 50  # meta-iterations drawn from one stream: part of the stream rule
+
+
+def draw_episodes(seed, iterations, tasks, n_pick, shots):
+    """The episode draw, written task by task. Block ``j`` of ``BLOCK``
+    meta-iterations reads only ``spawn(seed, "meta-block", j)`` and is drawn in
+    full: the task picks (the first ``n_pick`` of a stable argsort of one
+    uniform key per task), then every task's support keys in task order, then
+    its query keys. An episode takes the rows of the ``shots`` smallest keys,
+    in ascending row order. Yields each iteration's (task, support rows,
+    query rows) in pick order."""
+    for it in range(iterations):
+        if it % BLOCK == 0:
+            rng = spawn(seed, "meta-block", it // BLOCK)
+            picks = rng.random((BLOCK, len(tasks))).argsort(axis=1, kind="stable")[:, :n_pick]
+            support_keys = [rng.random((BLOCK, len(task.support))) for task in tasks]
+            query_keys = [rng.random((BLOCK, len(task.query))) for task in tasks]
+        i = it % BLOCK
+        yield [
+            (tasks[t], np.sort(support_keys[t][i].argsort(kind="stable")[:shots]),
+             np.sort(query_keys[t][i].argsort(kind="stable")[:shots]))
+            for t in picks[i]
+        ]
 
 
 def per_pair_meta_train(spec, cfg, tasks, seed):
@@ -72,10 +87,9 @@ def per_pair_meta_train(spec, cfg, tasks, seed):
     theta = init_params(spec, derive_seed(seed, "meta-init"))
     state = init_optimizer(cfg.optimizer, theta.size)
     curve = []
-    for it in range(cfg.meta_iterations):
-        rng = spawn(seed, "meta-iter", it)
+    for it, episodes in enumerate(draw_episodes(seed, cfg.meta_iterations, tasks, len(tasks), cfg.shots)):
         total, value = np.zeros_like(theta), 0.0
-        for task, support_rows, query_rows in draw_episodes(rng, tasks, len(tasks), cfg.shots):
+        for task, support_rows, query_rows in episodes:
             support = [task.support[int(i)] for i in support_rows]
             query = [task.query[int(i)] for i in query_rows]
             theta_k = inner_adapt(spec, theta, support, cfg.inner_lr)
@@ -92,10 +106,9 @@ def per_task_meta_train(spec, cfg, tasks, seed):
     theta = init_params(spec, derive_seed(seed, "meta-init"))
     state = init_optimizer(cfg.optimizer, theta.size)
     curve = []
-    for it in range(cfg.meta_iterations):
-        rng = spawn(seed, "meta-iter", it)
+    n_pick = cfg.tasks_per_iter or len(tasks)
+    for it, episodes in enumerate(draw_episodes(seed, cfg.meta_iterations, tasks, n_pick, cfg.shots)):
         total, value = np.zeros_like(theta), 0.0
-        episodes = draw_episodes(rng, tasks, cfg.tasks_per_iter or len(tasks), cfg.shots)
         for task, support_rows, query_rows in episodes:
             theta_k = inner_adapt(spec, theta, task.support[support_rows], cfg.inner_lr, cfg.inner_steps)
             task_loss, task_grad = value_and_grad(spec, theta_k, task.query[query_rows])
@@ -309,16 +322,60 @@ class TestEpisodeDraw:
         self.assert_stacked_matches_oracle(monkeypatch, spec, optimizer, episode)
 
     @pytest.mark.parametrize("family", ["linear", "mlp", "recurrent"])
-    def test_unequal_pools_train_per_task(self, tmp_path, family):
+    def test_unequal_pools_train_per_task(self, tmp_path, monkeypatch, family):
+        # Pools of 115/77/58 support and 29/19/14 query rows. At shots 10 every
+        # episode has 10 rows and takes the stacked pass although the pools
+        # differ in length. At shots 20 the short query pools differ, and at
+        # shots 500 every pool is used whole: both run task by task.
         bundle = unequal_bundle(tmp_path)
         assert len({len(task.support) for task in bundle.train_tasks}) == 3
         spec = LearnerSpec(family, input_dim=24, width=8)
-        cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer="adam", meta_iterations=5, tasks_per_iter=2)
-        runs = [meta_train(spec, cfg, bundle.train_tasks, seed=4) for _ in range(2)]
-        assert runs[0][0].tobytes() == runs[1][0].tobytes()
-        expected_theta, expected_curve = per_task_meta_train(spec, cfg, bundle.train_tasks, seed=4)
-        assert runs[0][0].tobytes() == expected_theta.tobytes()
-        assert runs[0][1] == expected_curve
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return value_and_grad(*args, **kwargs)
+
+        monkeypatch.setattr(meta, "value_and_grad", counted)
+        for shots, per_task_calls in ((10, 0), (20, 5 * 2), (500, 5 * 2)):
+            cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer="adam", meta_iterations=5, tasks_per_iter=2,
+                          shots=shots)
+            calls.clear()
+            runs = [meta_train(spec, cfg, bundle.train_tasks, seed=4) for _ in range(2)]
+            assert len(calls) == 2 * per_task_calls
+            assert runs[0][0].tobytes() == runs[1][0].tobytes()
+            expected_theta, expected_curve = per_task_meta_train(spec, cfg, bundle.train_tasks, seed=4)
+            assert runs[0][0].tobytes() == expected_theta.tobytes()
+            assert runs[0][1] == expected_curve
+
+    def test_block_is_the_default_run(self):
+        assert meta.EPISODE_BLOCK == BLOCK == MetaConfig().meta_iterations
+
+    def test_shorter_run_is_a_prefix_across_a_block_boundary(self):
+        bundle, _ = synthetic_bundle()
+        spec = LearnerSpec("linear", input_dim=24)
+        cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer="adam", tasks_per_iter=3)
+        theta, curve = meta_train(spec, replace(cfg, meta_iterations=70), bundle.train_tasks, seed=8)
+        _, longer = meta_train(spec, replace(cfg, meta_iterations=130), bundle.train_tasks, seed=8)
+        assert curve == longer[:70]
+        expected_theta, expected_curve = per_task_meta_train(spec, replace(cfg, meta_iterations=70),
+                                                             bundle.train_tasks, seed=8)
+        assert theta.tobytes() == expected_theta.tobytes()
+        assert curve == expected_curve
+
+    @pytest.mark.parametrize("iterations, streams", [(0, 0), (1, 1), (50, 1), (51, 2), (130, 3)])
+    def test_one_episode_stream_per_block(self, monkeypatch, iterations, streams):
+        bundle, _ = synthetic_bundle()
+        opened = []
+
+        def counted(*path):
+            opened.append(path)
+            return spawn(*path)
+
+        monkeypatch.setattr(meta, "spawn", counted)
+        cfg = cfg_sgd(inner_lr=0.001, outer_lr=0.001, meta_iterations=iterations)
+        meta_train(LearnerSpec("linear", input_dim=24), cfg, bundle.train_tasks, seed=6)
+        assert opened == [(6, "meta-block", j) for j in range(streams)]
 
     def test_empty_pool_rejected(self):
         task = TaskDataset("t", support=[pair([1.0], 1.0)], query=[pair([2.0], 2.0)])

@@ -6,6 +6,7 @@ import pytest
 from fewcast.meta import EvaluationRecord
 from fewcast.rng import spawn
 from fewcast.search import (
+    MAX_GRID_RESOLUTION,
     SearchSpace,
     TreeNode,
     backpropagate,
@@ -81,6 +82,26 @@ class TestSearchSpace:
             build_search_space("mlp", c_uct=0.0)
         with pytest.raises(ValueError):
             build_search_space("mlp", grid_resolution=1)
+
+    @pytest.mark.parametrize("c_uct", [math.inf, math.nan, -math.inf])
+    def test_non_finite_c_uct_rejected(self, c_uct):
+        # an infinite exploration weight scores inf * 0 = nan for a child at
+        # zero exploration, so select would find no child to tie-break among
+        with pytest.raises(ValueError, match="c_uct must be finite and positive"):
+            build_search_space("linear", c_uct=c_uct)
+
+    def test_grid_resolution_capped(self):
+        assert len(lr_grid(MAX_GRID_RESOLUTION)) == MAX_GRID_RESOLUTION
+        with pytest.raises(ValueError, match=f"must lie in \\[2, {MAX_GRID_RESOLUTION}\\]"):
+            build_search_space("linear", grid_resolution=MAX_GRID_RESOLUTION + 1)
+
+    def test_oversized_grid_rejected_before_it_is_built(self, monkeypatch):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the grid was built before its resolution was checked")
+
+        monkeypatch.setattr(np, "geomspace", unbuilt)
+        with pytest.raises(ValueError, match="grid resolution"):
+            lr_grid(100_000_000)
 
     def test_space_size(self):
         assert space_size(build_search_space("mlp", grid_resolution=8)) == 8 * 8 * 8 * 8 * 5
