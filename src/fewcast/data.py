@@ -19,6 +19,7 @@ from .rng import derive_seed, spawn
 KINDS = ("wind", "pv", "load", "synthetic")
 DEFAULT_WINDOW = 24
 DEFAULT_HOURS = 168
+MAX_GENERATED_VALUES = 10**7  # series x hours one generate call draws: 80 MB of float64 values
 SUPPORT_FRACTION = 0.8
 CSV_HEADER = "task_id,timestamp,value"
 
@@ -181,6 +182,8 @@ def generate_synthetic_tasks(kind: str, n_tasks: int, hours: int, seed: int) -> 
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     if hours < 2:
         raise ValueError(f"hours must be >= 2, got {hours}")
+    if n_tasks * hours > MAX_GENERATED_VALUES:
+        raise ValueError(f"{n_tasks} series of {hours} hours exceed the {MAX_GENERATED_VALUES} values one call draws")
     out = []
     for i in range(n_tasks):
         params = synthetic_task_params(kind, i, seed)

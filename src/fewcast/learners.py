@@ -12,6 +12,11 @@ LearnerSpec, so the meta-level code can treat every family identically.
 Gradients are exact analytic reverse-mode derivatives of the summed squared
 error, written out by hand (no autodiff framework).
 
+The recurrent pass caches time-major chunks of CHUNK steps, (n, ..., batch, w):
+the rows [x_t, h_{t-1}, 1], the gates [z, r] and the candidate. Its backward
+overwrites gates and candidate with their pre-activation gradients and takes a
+chunk's U, w and b gradients in one contraction over its rows and [x_t, r*h, 1].
+
 The five optimizers act on (theta, grad) pairs and are pure: they return an
 updated vector and an advanced state instead of mutating anything.
 """
@@ -36,6 +41,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 RMSPROP_RHO, RMSPROP_EPS = 0.9, 1e-8
 ADADELTA_RHO, ADADELTA_EPS = 0.95, 1e-6
 ADAGRAD_EPS = 1e-10
+CHUNK = 8  # recurrent time steps per cache buffer; the backward contracts each chunk's weight gradients at once
 
 
 class NumericError(ArithmeticError):
@@ -104,25 +110,14 @@ def _unpack_mlp(spec, theta):
     return W1, b1, v, theta[..., -1:]
 
 
-def _unpack_recurrent(spec, theta):
-    # the gate and readout vectors come as rows (..., 1, h), to broadcast over a batch
+def _gate_blocks(spec, theta):
+    # Each gate's (w, U, b) is one contiguous (h+2, h) block Wz, Wr, Wh of the layout: the weights of an augmented row
+    # [x_t, h_{t-1}, 1]. Returns -[Wz Wr] copied into one (h+2, 2h) block, whose gemm gives both gates' inputs -a for
+    # exp(-a), then views of Wh and of the readout row v (..., 1, h) and c.
     h = spec.width
-    out, i = [], 0
-    for _ in range(3):  # update gate, reset gate, candidate
-        out.append(theta[..., None, i : i + h])
-        i += h
-        out.append(theta[..., i : i + h * h].reshape(theta.shape[:-1] + (h, h)))
-        i += h * h
-        out.append(theta[..., None, i : i + h])
-        i += h
-    out.append(theta[..., None, i : i + h])
-    out.append(theta[..., -1:])
-    return out  # wz, Uz, bz, wr, Ur, br, wh, Uh, bh, v, c
-
-
-def _sigmoid(x):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    Wz, Wr, Wh = (theta[..., i * (h + 2) * h : (i + 1) * (h + 2) * h].reshape(theta.shape[:-1] + (h + 2, h))
+                  for i in range(3))
+    return -np.concatenate([Wz, Wr], axis=-1), Wh, theta[..., None, -h - 1 : -1], theta[..., -1:]
 
 
 def _check_theta(spec, theta):
@@ -148,21 +143,43 @@ def _forward_mlp(spec, theta, X, want_cache=False):
     return (yhat, hidden) if want_cache else yhat
 
 
-def _forward_recurrent(spec, theta, X, want_cache=False):
-    wz, Uz, bz, wr, Ur, br, wh, Uh, bh, v, c = _unpack_recurrent(spec, theta)
-    h = np.zeros(X.shape[:-1] + (spec.width,))
-    steps = []
-    for t in range(X.shape[-1]):
-        x_t = X[..., t, None]
-        z = _sigmoid(x_t * wz + h @ Uz + bz)
-        r = _sigmoid(x_t * wr + h @ Ur + br)
-        hbar = np.tanh(x_t * wh + (r * h) @ Uh + bh)
-        h_new = (1.0 - z) * h + z * hbar
-        if want_cache:
-            steps.append((h, z, r, hbar))
-        h = h_new
-    yhat = (h @ v.swapaxes(-1, -2))[..., 0] + c
-    return (yhat, h, steps) if want_cache else yhat
+def _forward_recurrent(spec, theta, X):
+    Nzr, Wh, v, c = _gate_blocks(spec, theta)
+    state, _ = _recurrent_steps(Nzr, Wh, X, keep=False)
+    return (state @ v.swapaxes(-1, -2))[..., 0] + c
+
+
+def _recurrent_steps(Nzr, Wh, X, keep):
+    """Run the cell over the T columns of X; return the final state and the (inputs, gates, cands) buffers
+    of each CHUNK of time steps: a new triple per chunk if ``keep`` is set for the backward, else one reused."""
+    h, T = Wh.shape[-1], X.shape[-1]
+    state, chunks = np.zeros(X.shape[:-1] + (h,)), []
+    with np.errstate(over="ignore"):  # exp(-a) overflows for a very negative gate input a: the sigmoid is 0
+        for t0 in range(0, T, CHUNK):
+            n = min(CHUNK, T - t0)
+            if keep or not chunks or len(chunks[-1][0]) != n:
+                chunks.append(tuple(np.empty((n,) + X.shape[:-1] + (width,)) for width in (h + 2, 2 * h, h)))
+            inputs, gates, cands = chunks[-1]
+            inputs[..., 0], inputs[..., -1] = np.moveaxis(X[..., t0 : t0 + n], -1, 0), 1.0  # rows [x_t, h_{t-1}, 1]
+            inputs[0, ..., 1:-1] = state
+            for i in range(n):
+                prev = inputs[i, ..., 1:-1]  # h_{t-1}
+                zr = np.matmul(inputs[i], Nzr, out=gates[i])
+                np.exp(zr, out=zr)
+                zr += 1.0
+                np.reciprocal(zr, out=zr)
+                rh = inputs[i].copy()  # the rows [x_t, r * h_{t-1}, 1], kept for one step only
+                rh[..., 1:-1] *= zr[..., h:]
+                hbar = np.matmul(rh, Wh, out=cands[i])
+                np.tanh(hbar, out=hbar)
+                state = np.add(prev, (hbar - prev) * zr[..., :h], out=inputs[i + 1, ..., 1:-1] if i + 1 < n else None)
+    return state, chunks
+
+
+def _task_rows(buf):
+    # a time-major (n, ..., batch, w) chunk as (..., n * batch, w) rows per task, contiguous as one task's are: a copy
+    # for a task stack (OpenBLAS rounds a strided operand differently, e.g. at batch 1)
+    return np.ascontiguousarray(np.moveaxis(buf, 0, -3).reshape(buf.shape[1:-2] + (-1, buf.shape[-1])))
 
 
 _FORWARDS = {"linear": _forward_linear, "mlp": _forward_mlp, "recurrent": _forward_recurrent}
@@ -242,50 +259,43 @@ def _grad_mlp(spec, theta, X, y):
 
 
 def _grad_recurrent(spec, theta, X, y):
-    wz, Uz, bz, wr, Ur, br, wh, Uh, bh, v, c = _unpack_recurrent(spec, theta)
-    yhat, h_final, steps = _forward_recurrent(spec, theta, X, want_cache=True)
-    UzT, UrT, UhT = (np.ascontiguousarray(U.swapaxes(-1, -2)) for U in (Uz, Ur, Uh))  # once, not per step
-    residuals = yhat - y
-    dy = 2.0 * residuals
-
-    lead, width = X.shape[:-2], spec.width
-    g_wz, g_bz, g_wr, g_br, g_wh, g_bh = (np.zeros(lead + (width,)) for _ in range(6))
-    g_Uz, g_Ur, g_Uh = (np.zeros(lead + (width, width)) for _ in range(3))
-    g_v = (h_final.swapaxes(-1, -2) @ dy[..., None])[..., 0]
-    g_c = dy.sum(axis=-1, keepdims=True)
+    Nzr, Wh, v, c = _gate_blocks(spec, theta)
+    state, chunks = _recurrent_steps(Nzr, Wh, X, keep=True)
+    residuals = (state @ v.swapaxes(-1, -2))[..., 0] + c - y
+    dy, h = 2.0 * residuals, spec.width
+    NzrT, UhT = (np.ascontiguousarray(W[..., 1:-1, :].swapaxes(-1, -2)) for W in (Nzr, Wh))  # once, not per step
+    del Nzr
 
     dh = dy[..., :, None] * v
-    for t in range(X.shape[-1] - 1, -1, -1):
-        h_prev, z, r, hbar = steps[t]
-        x_t = X[..., t, None]
+    d_zr, rh_rows = np.empty(dh.shape[:-1] + (2 * h,)), np.empty((min(CHUNK, X.shape[-1]),) + X.shape[:-1] + (h + 2,))
+    g_zr, g_h = np.zeros(X.shape[:-2] + (h + 2, 2 * h)), np.zeros(X.shape[:-2] + (h + 2, h))
+    while chunks:  # latest first; each chunk's buffers are freed once its gradients are in
+        inputs, gates, cands = chunks.pop()
+        rh = rh_rows[: len(inputs)]  # the rows [x_t, r * h_{t-1}, 1], rebuilt for the contraction
+        np.copyto(rh, inputs)
+        rh[..., 1:-1] *= gates[..., h:]
+        for i in range(len(inputs) - 1, -1, -1):
+            # the gates and candidate of the chunk's step i are overwritten by their pre-activation gradients
+            h_prev, zr, hbar = inputs[i, ..., 1:-1], gates[i], cands[i]
+            np.multiply(hbar - h_prev, dh, out=d_zr[..., :h])
+            dhbar = dh * zr[..., :h]
+            dh -= dhbar
+            np.square(hbar, out=hbar)
+            np.subtract(1.0, hbar, out=hbar)
+            hbar *= dhbar
+            drh = hbar @ UhT
+            np.multiply(drh, h_prev, out=d_zr[..., h:])
+            dh += drh * zr[..., h:]
+            d_zr *= zr
+            np.multiply(1.0 - zr, d_zr, out=zr)
+            dh -= zr @ NzrT
+        # one contraction over the chunk's n * batch rows gives its U, w and b gradients
+        g_zr += _task_rows(inputs).swapaxes(-1, -2) @ _task_rows(gates)
+        g_h += _task_rows(rh).swapaxes(-1, -2) @ _task_rows(cands)
 
-        dz = dh * (hbar - h_prev)
-        dhbar = dh * z
-        dh_prev = dh * (1.0 - z)
-
-        dpre_h = dhbar * (1.0 - hbar**2)
-        g_wh += (dpre_h * x_t).sum(axis=-2)
-        g_Uh += (r * h_prev).swapaxes(-1, -2) @ dpre_h
-        g_bh += dpre_h.sum(axis=-2)
-        drh = dpre_h @ UhT
-        dh_prev += drh * r
-
-        dpre_r = (drh * h_prev) * r * (1.0 - r)
-        g_wr += (dpre_r * x_t).sum(axis=-2)
-        g_Ur += h_prev.swapaxes(-1, -2) @ dpre_r
-        g_br += dpre_r.sum(axis=-2)
-        dh_prev += dpre_r @ UrT
-
-        dpre_z = dz * z * (1.0 - z)
-        g_wz += (dpre_z * x_t).sum(axis=-2)
-        g_Uz += h_prev.swapaxes(-1, -2) @ dpre_z
-        g_bz += dpre_z.sum(axis=-2)
-        dh_prev += dpre_z @ UzT
-
-        dh = dh_prev
-
-    blocks = [g_wz, g_Uz, g_bz, g_wr, g_Ur, g_br, g_wh, g_Uh, g_bh, g_v, g_c]
-    return residuals, np.concatenate([g.reshape(lead + (-1,)) for g in blocks], axis=-1)
+    g_v = (state.swapaxes(-1, -2) @ dy[..., None])[..., 0]
+    blocks = (g_zr[..., :h], g_zr[..., h:], g_h, g_v, dy.sum(axis=-1, keepdims=True))
+    return residuals, np.concatenate([g.reshape(X.shape[:-2] + (-1,)) for g in blocks], axis=-1)
 
 
 RESIDUALS_AND_GRADIENTS = {"linear": _grad_linear, "mlp": _grad_mlp, "recurrent": _grad_recurrent}

@@ -17,8 +17,8 @@ iterations is the first ``r`` of any longer one. It draws the task picks
 (first ``n_pick`` of a stable argsort of ``random((B, n_tasks))``), then
 ``random((B, n_t))`` support keys per task in task order, then query keys
 alike. An episode takes the rows of a pool's ``shots`` smallest keys in
-ascending row order. One fancy index per pool kind gathers the block, and
-each iteration runs as passes stacked over the task axis, unless pools
+ascending row order. One fancy index per pool kind gathers each run of at
+most GATHER_BYTES; each iteration runs as passes stacked over tasks, unless pools
 shorter than ``shots`` differ in length: then it runs task by task. Both add
 the per-task losses and gradients in task order, so they give the same bits.
 """
@@ -49,6 +49,7 @@ from .rng import derive_seed, spawn
 
 LR_MIN, LR_MAX = 1e-4, 0.5
 EPISODE_BLOCK = 50  # meta-iterations drawn at once, the default meta_iterations; part of the stream rule
+GATHER_BYTES = 1 << 20  # episode rows gathered at once, per block: a block at the default shots fits in one gather
 
 
 @dataclass(frozen=True)
@@ -204,9 +205,9 @@ def _stacked_episode_sum(spec, theta, support, query, cfg) -> tuple[np.ndarray, 
     return _task_sum(theta, ((float(r @ r), g) for r, g in zip(residuals, grads)))
 
 
-def _draw_block(tasks: list[TaskDataset], n_pick: int, shots: int, rng) -> list[list]:
-    # one block's episodes, drawn as the module docstring says: per pool kind, each iteration's (X, y) of the picked
-    # tasks, as (K, m, w) and (K, m) slices of one gather when every task gives m rows, else per-task lists
+def _draw_block(tasks: list[TaskDataset], n_pick: int, shots: int, rng):
+    # yields a block's episodes, drawn in full as the module docstring says and gathered in runs of <= GATHER_BYTES:
+    # per pool kind, the picked tasks' (X, y), as (K, m, w) and (K, m) arrays if all give m rows, else as lists
     picked = rng.random((EPISODE_BLOCK, len(tasks))).argsort(axis=1, kind="stable")[:, :n_pick]
     kinds = []
     for pools in ([task.support for task in tasks], [task.query for task in tasks]):
@@ -214,12 +215,18 @@ def _draw_block(tasks: list[TaskDataset], n_pick: int, shots: int, rng) -> list[
         for start, pool in zip(np.cumsum([0] + [len(p) for p in pools]), pools):
             keys = rng.random((EPISODE_BLOCK, len(pool)))  # a pool of at most ``shots`` rows gives all of them
             rows.append(start + np.sort(np.argpartition(keys, min(shots, len(pool)) - 1, axis=1)[:, :shots], axis=1))
-        if len({r.shape[1] for r in rows}) == 1:
-            index = np.stack(rows, axis=1)[np.arange(EPISODE_BLOCK)[:, None], picked]
-            kinds.append(list(zip(X[index], y[index])))
-        else:
-            kinds.append([([X[rows[t][i]] for t in ts], [y[rows[t][i]] for t in ts]) for i, ts in enumerate(picked)])
-    return kinds
+        kinds.append((X, y, rows))
+    iteration_bytes = sum(n_pick * max(r.shape[1] for r in rows) * (X[:1].nbytes + y.itemsize) for X, y, rows in kinds)
+    run = max(1, GATHER_BYTES // iteration_bytes)
+    for first in range(0, EPISODE_BLOCK, run):
+        yield from zip(*(_gather(X, y, rows, picked, slice(first, first + run)) for X, y, rows in kinds))
+
+
+def _gather(X, y, rows, picked, its):
+    if len({r.shape[1] for r in rows}) == 1:
+        index = np.take_along_axis(np.stack([r[its] for r in rows], axis=1), picked[its, :, None], axis=1)
+        return list(zip(X[index], y[index]))
+    return [([X[rows[t][i]] for t in ts], [y[rows[t][i]] for t in ts]) for i, ts in enumerate(picked[its], its.start)]
 
 
 def meta_train(
@@ -245,7 +252,7 @@ def meta_train(
     for it in range(cfg.meta_iterations):
         if it % EPISODE_BLOCK == 0:
             block = _draw_block(train_tasks, n_pick, cfg.shots, spawn(seed, "meta-block", it // EPISODE_BLOCK))
-        support, query = (kind[it % EPISODE_BLOCK] for kind in block)
+        support, query = next(block)
         if isinstance(support[0], np.ndarray) and isinstance(query[0], np.ndarray):
             total_grad, value = _stacked_episode_sum(spec, theta, support, query, cfg)
         else:

@@ -12,7 +12,7 @@ import pytest
 
 import fewcast
 from fewcast.cli import main
-from fewcast.data import csv_text, TimeSeries
+from fewcast.data import MAX_GENERATED_VALUES, csv_text, TimeSeries
 from fewcast.search import MAX_GRID_RESOLUTION
 
 
@@ -61,6 +61,17 @@ class TestGenerate:
 
     def test_missing_seed_is_usage_error(self, tmp_path):
         assert run("generate", "--out", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize("tasks, hours", [(4, 10**12), (10**7, 2), (1, MAX_GENERATED_VALUES // 2 + 1)])
+    def test_oversized_bundle_rejected_before_it_is_drawn(self, tmp_path, monkeypatch, capsys, tasks, hours):
+        def undrawn(*path):
+            raise AssertionError("a series was drawn before the bundle size was checked")
+
+        monkeypatch.setattr(fewcast.data, "spawn", undrawn)
+        assert run("generate", "--tasks", tasks, "--hours", hours, "--seed", 1, "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1 and "values" in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestSearch:
@@ -318,6 +329,7 @@ def _drop(key):
     [
         pytest.param(lambda tmp, data, ckpt: ["generate", "--hours", 1, "--seed", 1], 2, id="generate-hours-1"),
         pytest.param(lambda tmp, data, ckpt: ["generate", "--tasks", -1, "--seed", 1], 2, id="generate-tasks-minus-1"),
+        pytest.param(lambda tmp, data, ckpt: ["generate", "--hours", 10**12, "--seed", 1], 2, id="generate-hours-1e12"),
         # sgd at the CLI defaults diverges at width 512 on the second seed,
         # after the first has finished
         pytest.param(lambda tmp, data, ckpt: ["train", "--data", data, "--family", "mlp", "--width", 512,

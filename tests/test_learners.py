@@ -227,14 +227,49 @@ def test_stacked_and_broadcast_passes_keep_the_per_task_bits(family, width, batc
     thetas = init_params(spec, seed=3) + 0.1 * rng.standard_normal((4, n_params(spec)))
     X, y = rng.standard_normal((4, batch, 24)), rng.standard_normal((4, batch))
     forward_pass, gradient_pass = learners._FORWARDS[family], learners.RESIDUALS_AND_GRADIENTS[family]
-    for stack in (thetas, thetas[:1]):  # one theta per task, or one broadcast over the tasks
-        yhats = forward_pass(spec, stack, X)
-        residuals, grads = gradient_pass(spec, stack, X, y)
-        for k, theta in enumerate(np.broadcast_to(stack, thetas.shape)):
-            value, grad = value_and_grad(spec, theta.copy(), pairs_from(X[k], y[k]))
-            assert yhats[k].tobytes() == forward(spec, theta, X[k]).tobytes()
-            assert np.float64(residuals[k] @ residuals[k]).tobytes() == np.float64(value).tobytes()
-            assert grads[k].tobytes() == grad.tobytes()
+    cases = [(spec, X)]
+    if family == "recurrent":  # 29 time steps: three whole CHUNKs and a part of one
+        cases.append((LearnerSpec(family, input_dim=29, width=width), rng.standard_normal((4, batch, 29))))
+    for spec, X in cases:
+        for stack in (thetas, thetas[:1]):  # one theta per task, or one broadcast over the tasks
+            yhats = forward_pass(spec, stack, X)
+            residuals, grads = gradient_pass(spec, stack, X, y)
+            for k, theta in enumerate(np.broadcast_to(stack, thetas.shape)):
+                value, grad = value_and_grad(spec, theta.copy(), pairs_from(X[k], y[k]))
+                assert yhats[k].tobytes() == forward(spec, theta, X[k]).tobytes()
+                assert np.float64(residuals[k] @ residuals[k]).tobytes() == np.float64(value).tobytes()
+                assert grads[k].tobytes() == grad.tobytes()
+
+
+def reference_recurrent(spec, theta, X):
+    """The gated recurrent cell step by step, from the flat layout: per gate
+    w (h), U (h x h, applied as h @ U) and b (h), then the readout v and c."""
+    h, out, i = spec.width, [], 0
+    for _ in range(3):
+        out += [theta[i : i + h], theta[i + h : i + h + h * h].reshape(h, h), theta[i + h + h * h : i + 2 * h + h * h]]
+        i += 2 * h + h * h
+    (wz, Uz, bz, wr, Ur, br, wh, Uh, bh), v, c = out, theta[i : i + h], theta[-1]
+    state = np.zeros((len(X), h))
+    for x in X.T[:, :, None]:
+        z = 1.0 / (1.0 + np.exp(-(x * wz + state @ Uz + bz)))
+        r = 1.0 / (1.0 + np.exp(-(x * wr + state @ Ur + br)))
+        state = (1.0 - z) * state + z * np.tanh(x * wh + (r * state) @ Uh + bh)
+    return state @ v + c
+
+
+@pytest.mark.parametrize("input_dim", [5, 13, 29])  # time steps below, above and not a multiple of CHUNK
+@pytest.mark.parametrize("width", [1, 5])
+@pytest.mark.parametrize("batch", [1, 7])
+def test_recurrent_pass_across_chunk_boundaries(input_dim, width, batch):
+    rng = np.random.default_rng(input_dim * 100 + width * 10 + batch)
+    spec = LearnerSpec("recurrent", input_dim=input_dim, width=width)
+    theta = init_params(spec, seed=5) + 0.3 * rng.standard_normal(n_params(spec))
+    data = random_pairs(rng, batch, input_dim)
+    X, y = learners.pairs_to_arrays(data)
+    residuals, grad = learners._grad_recurrent(spec, theta, X, y)
+    assert residuals.tobytes() == (forward(spec, theta, X) - y).tobytes()  # the forward the gradient pass caches
+    assert np.allclose(forward(spec, theta, X), reference_recurrent(spec, theta, X), rtol=1e-12, atol=1e-12)
+    assert_gradients_close(grad, finite_difference(spec, theta, data))
 
 
 class TestOptimizers:

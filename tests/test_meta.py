@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -362,6 +363,36 @@ class TestEpisodeDraw:
                                                              bundle.train_tasks, seed=8)
         assert theta.tobytes() == expected_theta.tobytes()
         assert curve == expected_curve
+
+    @pytest.mark.parametrize("episode", EPISODES)
+    def test_gather_runs_keep_the_bits(self, monkeypatch, episode):
+        # at 20 kB a run holds 2 iterations of tasks_per_iter_2_of_4 and 1 of the others
+        monkeypatch.setattr(meta, "GATHER_BYTES", 20_000)
+        self.assert_stacked_matches_oracle(monkeypatch, LearnerSpec("linear", input_dim=24), "adam", episode)
+
+    @pytest.mark.parametrize("shots", [20, 500])
+    def test_per_task_gather_runs_keep_the_bits(self, tmp_path, monkeypatch, shots):
+        # unequal pools run task by task; at 1 byte every run holds one iteration
+        monkeypatch.setattr(meta, "GATHER_BYTES", 1)
+        bundle, spec = unequal_bundle(tmp_path), LearnerSpec("linear", input_dim=24)
+        cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer="adam", meta_iterations=5, tasks_per_iter=2, shots=shots)
+        theta, curve = meta_train(spec, cfg, bundle.train_tasks, seed=4)
+        expected_theta, expected_curve = per_task_meta_train(spec, cfg, bundle.train_tasks, seed=4)
+        assert theta.tobytes() == expected_theta.tobytes()
+        assert curve == expected_curve
+
+    def test_whole_pools_of_long_series_gather_in_bounded_runs(self):
+        # gathered as one block, four pools of 1581/395 windows used whole peaked at about 50 times the pools
+        series = generate_synthetic_tasks("synthetic", 5, 2000, seed=3)
+        tasks = build_bundle(series[:4], series[4], window=24, seed=3).train_tasks
+        pools = sum(task.support.X.nbytes + task.query.X.nbytes for task in tasks)
+        tracemalloc.start()
+        try:
+            meta_train(LearnerSpec("linear", input_dim=24), cfg_sgd(shots=5000, meta_iterations=2), tasks, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * pools
 
     @pytest.mark.parametrize("iterations, streams", [(0, 0), (1, 1), (50, 1), (51, 2), (130, 3)])
     def test_one_episode_stream_per_block(self, monkeypatch, iterations, streams):
