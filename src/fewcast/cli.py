@@ -33,6 +33,7 @@ from .data import (
     DEFAULT_WINDOW,
     EmptyInputError,
     KINDS,
+    ShortSeriesError,
     build_bundle,
     csv_text,
     denormalize,
@@ -248,7 +249,7 @@ def cmd_search(args) -> tuple[dict, dict]:
         best, trajectory = search(space, bundle, args.budget, seed, settings=settings)
         total_ms = (time.perf_counter() - start) * 1000.0
         seed_dir = f"seed_{seed}/"
-        files[seed_dir + "trajectory.jsonl"] = trajectory.to_jsonl(include_timing=False)
+        files[seed_dir + "trajectory.jsonl"] = trajectory.to_jsonl()
         plot_rows = [f"{i},{v!r}" for i, v in enumerate(trajectory.best_so_far())]
         files[seed_dir + "plot.csv"] = _lines(["iteration,best_so_far_mse"] + plot_rows)
         per_iter = [r.wall_time_ms for r in trajectory.records]
@@ -275,6 +276,8 @@ def cmd_train(args) -> tuple[dict, dict]:
     low, high = min(WIDTH_OPTIONS), max(WIDTH_OPTIONS)
     if args.family != "linear" and not low <= args.width <= high:
         raise UsageError(f"--width must lie in [{low}, {high}], got {args.width}")
+    if args.train_steps is not None and not args.vanilla:
+        raise UsageError("--train-steps applies only with --vanilla")
     if args.train_steps is not None and args.train_steps < 1:
         raise UsageError(f"--train-steps must be >= 1, got {args.train_steps}")
     chosen = dict(inner_lr=args.inner_lr, outer_lr=args.outer_lr, finetune_lr=args.finetune_lr, optimizer=args.optimizer)
@@ -331,6 +334,8 @@ def cmd_predict(args) -> tuple[dict, dict]:
         raise CheckpointError(f"{checkpoint}: target_norm {norm!r} is neither null nor two finite numbers")
     _, target = _load_series_dir(Path(args.data), require_train=False)
     bundle = build_bundle([], target, window=spec.input_dim, test_horizon=args.horizon, seed=0)
+    if len(bundle.test) < args.horizon:
+        raise ShortSeriesError(f"target holds {len(bundle.test)} forecast steps; --horizon asks for {args.horizon}")
     X, y_true = pairs_to_arrays(bundle.test)
     if args.recursive:
         y_pred = []

@@ -19,7 +19,7 @@ from .rng import derive_seed, spawn
 KINDS = ("wind", "pv", "load", "synthetic")
 DEFAULT_WINDOW = 24
 DEFAULT_HOURS = 168
-MAX_GENERATED_VALUES = 10**7  # series x hours one generate call draws: 80 MB of float64 values
+MAX_GENERATED_VALUES = 10**6  # series x hours one generate call draws: 8 MB of float64 values
 SUPPORT_FRACTION = 0.8
 CSV_HEADER = "task_id,timestamp,value"
 

@@ -18,9 +18,10 @@ iterations is the first ``r`` of any longer one. It draws the task picks
 ``random((B, n_t))`` support keys per task in task order, then query keys
 alike. An episode takes the rows of a pool's ``shots`` smallest keys in
 ascending row order. One fancy index per pool kind gathers each run of at
-most GATHER_BYTES; each iteration runs as passes stacked over tasks, unless pools
-shorter than ``shots`` differ in length: then it runs task by task. Both add
-the per-task losses and gradients in task order, so they give the same bits.
+most GATHER_BYTES. An iteration runs as one pass stacked over its tasks, or,
+when pools shorter than ``shots`` differ in length, as one single-task stack per
+task through the same pass; either way the per-task losses and gradients are
+added in task order, so a task's bits do not depend on its stack.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from .learners import (
     NumericError,
     OPTIMIZERS,
     RESIDUALS_AND_GRADIENTS,
+    _check_theta,
     gradient,
     init_optimizer,
     init_params,
     loss,
     optimizer_step,
-    value_and_grad,
 )
 from .rng import derive_seed, spawn
 
@@ -132,10 +133,10 @@ class EvaluationRecord:
     wall_time_ms: float
     status: str  # "ok" or "failed"
 
-    def to_json(self, include_timing: bool = True) -> str:
+    def to_json(self) -> str:
+        """The record as sorted-key JSON without ``wall_time_ms``, so equal runs give equal bytes."""
         payload = {**asdict(self), "config": self.config.to_dict()}
-        if not include_timing:
-            del payload["wall_time_ms"]
+        del payload["wall_time_ms"]
         return json.dumps(payload, sort_keys=True)
 
 
@@ -167,47 +168,42 @@ def outer_step(
 
     Also returns the meta-loss: the sum over tasks of the summed query loss
     at the adapted parameters."""
+    _check_theta(spec, theta)
+    _check_tasks(tasks)
+    stacks = [((t.support.X[None], t.support.y[None]), (t.query.X[None], t.query.y[None])) for t in tasks]
+    return _meta_step(spec, theta, stacks, cfg, opt_state)
+
+
+def _check_tasks(tasks: list[TaskDataset]) -> None:
     if not tasks:
-        raise ValueError("task batch is empty")
-    total_grad, value = _episode_sum(spec, theta, [(task.support, task.query) for task in tasks], cfg)
-    theta_new, opt_state = optimizer_step(opt_state, theta, total_grad, cfg.outer_lr)
-    return theta_new, opt_state, value
+        raise ValueError("no training tasks")
+    if not all(task.support and task.query for task in tasks):
+        raise ValueError("every training task needs a non-empty support and query set")
 
 
-def _task_sum(theta: np.ndarray, task_values) -> tuple[np.ndarray, float]:
-    # (query loss, query gradient) per task, added in task order
-    total_grad, value = np.zeros_like(theta), 0.0
-    for task_loss, task_grad in task_values:
-        total_grad += task_grad
-        value += task_loss
-    return total_grad, value
-
-
-def _episode_sum(spec, theta, episodes, cfg) -> tuple[np.ndarray, float]:
-    """Summed query loss and gradient over (support, query) episodes, each
-    at the parameters its support set adapts ``theta`` to."""
-    return _task_sum(theta, (
-        value_and_grad(spec, inner_adapt(spec, theta, support, cfg.inner_lr, cfg.inner_steps), query)
-        for support, query in episodes
-    ))
-
-
-def _stacked_episode_sum(spec, theta, support, query, cfg) -> tuple[np.ndarray, float]:
-    """:func:`_episode_sum` on stacked ``(K, shots, w)`` episodes: one pass over the task axis
-    per step, with each task's arithmetic, and so its bits, unchanged."""
+def _meta_step(spec, theta, stacks, cfg, opt_state) -> tuple[np.ndarray, object, float]:
+    """One first-order meta-update over ``(support, query)`` stacks of ``(K, m, w)`` and ``(K, m)`` arrays: one
+    pass over each stack's task axis per inner step, with each task's arithmetic, and so its bits, the same in any
+    stack; the query losses and gradients are summed in task order."""
     residuals_and_gradient = RESIDUALS_AND_GRADIENTS[spec.family]
-    adapted = theta[None, :]  # broadcast against the task axis until the first step
-    for _ in range(cfg.inner_steps):
-        step = residuals_and_gradient(spec, adapted, *support)[1]
-        step *= -cfg.inner_lr
-        adapted = np.add(step, adapted, out=step)  # adapted - lr * grad, in the gradient's buffer
-    residuals, grads = residuals_and_gradient(spec, adapted, *query)
-    return _task_sum(theta, ((float(r @ r), g) for r, g in zip(residuals, grads)))
+    total_grad, value = np.zeros_like(theta), 0.0
+    for support, query in stacks:
+        adapted = theta[None, :]  # broadcast against the task axis until the first step
+        for _ in range(cfg.inner_steps):
+            step = residuals_and_gradient(spec, adapted, *support)[1]
+            step *= -cfg.inner_lr
+            adapted = np.add(step, adapted, out=step)  # adapted - lr * grad, in the gradient's buffer
+        residuals, grads = residuals_and_gradient(spec, adapted, *query)
+        for task_residuals, task_grad in zip(residuals, grads):
+            total_grad += task_grad
+            value += float(task_residuals @ task_residuals)
+    theta, opt_state = optimizer_step(opt_state, theta, total_grad, cfg.outer_lr)
+    return theta, opt_state, value
 
 
 def _draw_block(tasks: list[TaskDataset], n_pick: int, shots: int, rng):
-    # yields a block's episodes, drawn in full as the module docstring says and gathered in runs of <= GATHER_BYTES:
-    # per pool kind, the picked tasks' (X, y), as (K, m, w) and (K, m) arrays if all give m rows, else as lists
+    # yields a block's episodes, drawn in full as the module docstring says and gathered in runs of <= GATHER_BYTES,
+    # as _meta_step's stacks: one K-task stack if every episode of a pool kind has the same rows, else one per task
     picked = rng.random((EPISODE_BLOCK, len(tasks))).argsort(axis=1, kind="stable")[:, :n_pick]
     kinds = []
     for pools in ([task.support for task in tasks], [task.query for task in tasks]):
@@ -219,7 +215,10 @@ def _draw_block(tasks: list[TaskDataset], n_pick: int, shots: int, rng):
     iteration_bytes = sum(n_pick * max(r.shape[1] for r in rows) * (X[:1].nbytes + y.itemsize) for X, y, rows in kinds)
     run = max(1, GATHER_BYTES // iteration_bytes)
     for first in range(0, EPISODE_BLOCK, run):
-        yield from zip(*(_gather(X, y, rows, picked, slice(first, first + run)) for X, y, rows in kinds))
+        for support, query in zip(*(_gather(X, y, rows, picked, slice(first, first + run)) for X, y, rows in kinds)):
+            one_stack = isinstance(support[0], np.ndarray) and isinstance(query[0], np.ndarray)
+            yield [(support, query)] if one_stack else [
+                tuple((Xt[None], yt[None]) for Xt, yt in episode) for episode in zip(zip(*support), zip(*query))]
 
 
 def _gather(X, y, rows, picked, its):
@@ -238,10 +237,7 @@ def meta_train(
 ) -> tuple[np.ndarray, list[tuple[int, float]]]:
     """Episodic meta-training loop; returns the learned initialization and the
     per-iteration meta-loss curve. Deterministic per seed."""
-    if not train_tasks:
-        raise ValueError("no training tasks")
-    if not all(task.support and task.query for task in train_tasks):
-        raise ValueError("every training task needs a non-empty support and query set")
+    _check_tasks(train_tasks)
     n_tasks = len(train_tasks)
     n_pick = n_tasks if cfg.tasks_per_iter is None else cfg.tasks_per_iter
     if n_pick > n_tasks:
@@ -252,13 +248,7 @@ def meta_train(
     for it in range(cfg.meta_iterations):
         if it % EPISODE_BLOCK == 0:
             block = _draw_block(train_tasks, n_pick, cfg.shots, spawn(seed, "meta-block", it // EPISODE_BLOCK))
-        support, query = next(block)
-        if isinstance(support[0], np.ndarray) and isinstance(query[0], np.ndarray):
-            total_grad, value = _stacked_episode_sum(spec, theta, support, query, cfg)
-        else:
-            episodes = [(Windows(*s), Windows(*q)) for s, q in zip(zip(*support), zip(*query))]
-            total_grad, value = _episode_sum(spec, theta, episodes, cfg)
-        theta, opt_state = optimizer_step(opt_state, theta, total_grad, cfg.outer_lr)
+        theta, opt_state, value = _meta_step(spec, theta, next(block), cfg, opt_state)
         curve.append((it, value))
     return theta, curve
 

@@ -207,8 +207,8 @@ class SearchTrajectory:
         ok = [r for r in self.records if r.status == "ok" and r.test_mse is not None]
         return min(ok, key=lambda r: r.test_mse) if ok else None
 
-    def to_jsonl(self, include_timing: bool = True) -> str:
-        return "\n".join(r.to_json(include_timing=include_timing) for r in self.records) + "\n"
+    def to_jsonl(self) -> str:
+        return "\n".join(r.to_json() for r in self.records) + "\n"
 
 
 def _one_iteration(root: TreeNode, space: SearchSpace, rng) -> tuple[list[TreeNode], tuple[int, ...]]:
@@ -227,6 +227,25 @@ def _one_iteration(root: TreeNode, space: SearchSpace, rng) -> tuple[list[TreeNo
     return path, prefix
 
 
+def _run(propose, bundle, budget: int, seed: int, evaluator, settings: MetaConfig):
+    """The one search loop: ``budget`` iterations of ``propose()`` -> (tree path, config), an evaluation under
+    ``derive_seed(seed, "eval", it)``, and the path's backpropagation of its reward. Returns the config of the
+    record with the lowest test MSE (None when every evaluation failed) and the full trajectory."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if evaluator is None:  # looks up evaluate_pipeline at each call, so a wrapper set on the module is seen
+        evaluator = lambda cfg, bnd, s: evaluate_pipeline(cfg, bnd, s, settings=settings)
+    records = []
+    for it in range(budget):
+        path, config = propose()
+        record = replace(evaluator(config, bundle, derive_seed(seed, "eval", it)), iteration=it)
+        backpropagate(path, reward_from_mse(record.test_mse if record.status == "ok" else None), config)
+        records.append(record)
+    trajectory = SearchTrajectory(records=tuple(records))
+    best = trajectory.best_record()
+    return (best.config if best else None), trajectory
+
+
 def search(
     space: SearchSpace,
     bundle,
@@ -241,24 +260,13 @@ def search(
     every evaluation failed) and the full trajectory. Deterministic per seed;
     failed evaluations earn reward 0.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if evaluator is None:
-        evaluator = lambda cfg, bnd, s: evaluate_pipeline(cfg, bnd, s, settings=settings)
-    root = TreeNode(level=0)
-    tree_rng = spawn(seed, "tree")
-    records = []
-    for it in range(budget):
+    root, tree_rng = TreeNode(level=0), spawn(seed, "tree")
+
+    def propose():
         path, prefix = _one_iteration(root, space, tree_rng)
-        config = rollout(prefix, space, tree_rng)
-        record = evaluator(config, bundle, derive_seed(seed, "eval", it))
-        record = replace(record, iteration=it)
-        reward = reward_from_mse(record.test_mse if record.status == "ok" else None)
-        backpropagate(path, reward, config)
-        records.append(record)
-    trajectory = SearchTrajectory(records=tuple(records))
-    best = trajectory.best_record()
-    return (best.config if best else None), trajectory
+        return path, rollout(prefix, space, tree_rng)
+
+    return _run(propose, bundle, budget, seed, evaluator, settings)
 
 
 def random_search(
@@ -270,16 +278,5 @@ def random_search(
     settings: MetaConfig = MetaConfig(),
 ) -> tuple[PipelineConfig | None, SearchTrajectory]:
     """Uniform sampling baseline with the same record/trajectory contract."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if evaluator is None:
-        evaluator = lambda cfg, bnd, s: evaluate_pipeline(cfg, bnd, s, settings=settings)
     rng = spawn(seed, "random-search")
-    records = []
-    for it in range(budget):
-        config = rollout((), space, rng)
-        record = evaluator(config, bundle, derive_seed(seed, "eval", it))
-        records.append(replace(record, iteration=it))
-    trajectory = SearchTrajectory(records=tuple(records))
-    best = trajectory.best_record()
-    return (best.config if best else None), trajectory
+    return _run(lambda: ([], rollout((), space, rng)), bundle, budget, seed, evaluator, settings)

@@ -136,6 +136,7 @@ class TestSearch:
         ("train", ["--vanilla", "--train-steps", -5]),
         ("train", ["--seed", 1, 1]),
         ("search", ["--seed", 2, 3, 2]),
+        ("train", ["--train-steps", 5, "--meta-iterations", 1]),
     ],
 )
 def test_invalid_setting_is_usage_error_before_any_work(command, flags, data_dir, tmp_path, capsys):
@@ -164,6 +165,7 @@ def short_target_dir(data_dir, tmp_path_factory):
         (["search", "--family", "linear", "--budget", 1, "--seed", 1, "--window", 500], "data_dir", 3),
         (["train", "--family", "linear", "--seed", 1], "short_target_dir", 3),
         (["predict", "--horizon", 0], "data_dir", 2),
+        (["predict", "--horizon", 100000], "data_dir", 3),
     ],
 )
 def test_window_and_horizon_probes_exit_with_one_line(argv, data, code, request, checkpoint, tmp_path, capsys):
@@ -270,6 +272,15 @@ class TestPredict:
         assert run("predict", "--checkpoint", checkpoint, "--data", data_dir, "--out", out,
                    "--recursive") == 0
         assert len((out / "forecast.csv").read_text().splitlines()) == 25
+
+    def test_horizon_may_take_every_window_after_the_first(self, checkpoint, data_dir, tmp_path):
+        # 168 hours give 144 windows of 24 lags; the test slice may hold all but the first
+        out = tmp_path / "p4"
+        assert run("predict", "--checkpoint", checkpoint, "--data", data_dir, "--out", out, "--horizon", 143) == 0
+        assert len((out / "forecast.csv").read_text().splitlines()) == 1 + 143
+        assert run("predict", "--checkpoint", checkpoint, "--data", data_dir, "--out", tmp_path / "x",
+                   "--horizon", 144) == 3
+        assert not (tmp_path / "x").exists()
 
     def test_constant_zero_target_forecast_zero(self, tmp_path):
         data = tmp_path / "zero"

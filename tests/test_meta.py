@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from dataclasses import replace
 
@@ -223,6 +224,30 @@ class TestOuterStep:
         with pytest.raises(ValueError):
             outer_step(LINEAR_1D, np.zeros(2), [], cfg_sgd(), init_optimizer("sgd", 2))
 
+    def test_wrong_parameter_count_rejected(self):
+        task = TaskDataset("t", support=[pair([1.0], 2.0)], query=[pair([0.5], 1.0)])
+        with pytest.raises(ValueError, match="spec requires"):
+            outer_step(LINEAR_1D, np.zeros(3), [task], cfg_sgd(), init_optimizer("sgd", 3))
+
+    @pytest.mark.parametrize("family", ["linear", "mlp", "recurrent"])
+    def test_unequal_pools_match_per_task_oracle(self, tmp_path, family):
+        # pools of 115/77/58 support and 29/19/14 query rows, used whole: inner_adapt
+        # and value_and_grad on each task, summed in task order, give the same bits
+        tasks = unequal_bundle(tmp_path).train_tasks
+        spec = LearnerSpec(family, input_dim=24, width=8)
+        cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer="adam", inner_steps=2)
+        theta = init_params(spec, 5)
+        total, value = np.zeros_like(theta), 0.0
+        for task in tasks:
+            adapted = inner_adapt(spec, theta, task.support, cfg.inner_lr, cfg.inner_steps)
+            task_loss, task_grad = value_and_grad(spec, adapted, task.query)
+            total += task_grad
+            value += task_loss
+        expected, _ = optimizer_step(init_optimizer("adam", theta.size), theta, total, cfg.outer_lr)
+        got, _, got_value = outer_step(spec, theta, tasks, cfg, init_optimizer("adam", theta.size))
+        assert got.tobytes() == expected.tobytes()
+        assert got_value == value
+
 
 class TestMetaTrain:
     def test_zero_iterations_returns_init(self):
@@ -297,16 +322,29 @@ class TestEpisodeDraw:
     must give the same bits."""
 
     @staticmethod
-    def assert_stacked_matches_oracle(monkeypatch, spec, optimizer, episode):
+    @contextlib.contextmanager
+    def passes(monkeypatch, family):
+        """Records the task-axis length of every pass meta-training makes. The
+        table is the one ``learners`` uses too, so it is patched only around
+        ``meta_train``, never around the per-task oracle."""
+        lengths, original = [], meta.RESIDUALS_AND_GRADIENTS[family]
+
+        def counted(spec, theta, X, y):
+            lengths.append(len(X) if X.ndim == 3 else "unstacked")
+            return original(spec, theta, X, y)
+
+        with monkeypatch.context() as patch:
+            patch.setitem(meta.RESIDUALS_AND_GRADIENTS, family, counted)
+            yield lengths
+
+    def assert_stacked_matches_oracle(self, monkeypatch, spec, optimizer, episode):
         bundle, _ = synthetic_bundle()
         cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer=optimizer, meta_iterations=6, **EPISODES[episode])
         expected_theta, expected_curve = per_task_meta_train(spec, cfg, bundle.train_tasks, seed=21)
-
-        def not_per_task(*args, **kwargs):
-            raise AssertionError("the stacked step fell back to the per-task loop")
-
-        monkeypatch.setattr(meta, "value_and_grad", not_per_task)
-        theta, curve = meta_train(spec, cfg, bundle.train_tasks, seed=21)
+        with self.passes(monkeypatch, spec.family) as lengths:
+            theta, curve = meta_train(spec, cfg, bundle.train_tasks, seed=21)
+        n_pick = cfg.tasks_per_iter or len(bundle.train_tasks)
+        assert lengths == [n_pick] * (cfg.meta_iterations * (cfg.inner_steps + 1))
         assert theta.tobytes() == expected_theta.tobytes()
         assert curve == expected_curve
 
@@ -325,25 +363,19 @@ class TestEpisodeDraw:
     @pytest.mark.parametrize("family", ["linear", "mlp", "recurrent"])
     def test_unequal_pools_train_per_task(self, tmp_path, monkeypatch, family):
         # Pools of 115/77/58 support and 29/19/14 query rows. At shots 10 every
-        # episode has 10 rows and takes the stacked pass although the pools
+        # episode has 10 rows and takes one 2-task stack although the pools
         # differ in length. At shots 20 the short query pools differ, and at
-        # shots 500 every pool is used whole: both run task by task.
+        # shots 500 every pool is used whole: both run one stack per task.
+        # Two runs of 5 iterations, each a support and a query pass per stack.
         bundle = unequal_bundle(tmp_path)
         assert len({len(task.support) for task in bundle.train_tasks}) == 3
         spec = LearnerSpec(family, input_dim=24, width=8)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return value_and_grad(*args, **kwargs)
-
-        monkeypatch.setattr(meta, "value_and_grad", counted)
-        for shots, per_task_calls in ((10, 0), (20, 5 * 2), (500, 5 * 2)):
+        for shots, expected_passes in ((10, [2] * 20), (20, [1] * 40), (500, [1] * 40)):
             cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer="adam", meta_iterations=5, tasks_per_iter=2,
                           shots=shots)
-            calls.clear()
-            runs = [meta_train(spec, cfg, bundle.train_tasks, seed=4) for _ in range(2)]
-            assert len(calls) == 2 * per_task_calls
+            with self.passes(monkeypatch, family) as lengths:
+                runs = [meta_train(spec, cfg, bundle.train_tasks, seed=4) for _ in range(2)]
+            assert lengths == expected_passes
             assert runs[0][0].tobytes() == runs[1][0].tobytes()
             expected_theta, expected_curve = per_task_meta_train(spec, cfg, bundle.train_tasks, seed=4)
             assert runs[0][0].tobytes() == expected_theta.tobytes()
@@ -465,7 +497,7 @@ class TestEvaluatePipeline:
         bundle, _ = synthetic_bundle()
         a = evaluate_pipeline(self.config(), bundle, seed=5)
         b = evaluate_pipeline(self.config(), bundle, seed=5)
-        assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
+        assert a.to_json() == b.to_json()
 
     def test_mse_non_negative(self):
         bundle, _ = synthetic_bundle()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fewcast.meta import EvaluationRecord
-from fewcast.rng import spawn
+from fewcast.rng import derive_seed, spawn
 from fewcast.search import (
     MAX_GRID_RESOLUTION,
     SearchSpace,
@@ -327,23 +327,38 @@ class TestSearch:
         curve = traj.best_so_far()
         assert all(b <= a for a, b in zip(curve, curve[1:]))
 
+    # the contract tests below hold for both drivers, MCTS and the uniform baseline
+    DRIVERS = (search, random_search)
+
     def test_deterministic_trajectories(self):
         space = build_search_space("linear", grid_resolution=3)
         evaluator = mock_evaluator(self.WEIGHTS, self.TARGET)
-        _, a = search(space, None, budget=40, seed=7, evaluator=evaluator)
-        _, b = search(space, None, budget=40, seed=7, evaluator=evaluator)
-        assert a.to_jsonl() == b.to_jsonl()
+        for driver in self.DRIVERS:
+            _, a = driver(space, None, budget=40, seed=7, evaluator=evaluator)
+            _, b = driver(space, None, budget=40, seed=7, evaluator=evaluator)
+            assert a.to_jsonl() == b.to_jsonl()
+            assert [r.seed for r in a.records] == [derive_seed(7, "eval", it) for it in range(40)]
 
     def test_iterations_are_sequential(self):
         space = build_search_space("linear", grid_resolution=3)
-        _, traj = search(space, None, budget=9, seed=2, evaluator=constant_evaluator())
-        assert [r.iteration for r in traj.records] == list(range(9))
+        for driver in self.DRIVERS:
+            _, traj = driver(space, None, budget=9, seed=2, evaluator=constant_evaluator())
+            assert [r.iteration for r in traj.records] == list(range(9))
+
+    def test_budget_below_one_rejected(self):
+        space = build_search_space("linear", grid_resolution=3)
+
+        def unreached(config, bundle, seed):
+            raise AssertionError("an evaluation ran before the budget was checked")
+
+        for driver in self.DRIVERS:
+            with pytest.raises(ValueError, match="budget"):
+                driver(space, None, budget=0, seed=0, evaluator=unreached)
 
     def test_tree_consistency_invariants(self):
         # drive the iteration loop directly so the tree stays inspectable
         space = build_search_space("linear", grid_resolution=3, kappa=0.5)
         evaluator = mock_evaluator(self.WEIGHTS, self.TARGET)
-        from fewcast.rng import derive_seed
         from fewcast.search import _one_iteration
 
         root = TreeNode(level=0)
@@ -393,10 +408,11 @@ class TestSearch:
                 wall_time_ms=0.0, status="failed" if fail else "ok",
             )
 
-        best, traj = search(space, None, budget=50, seed=3, evaluator=flaky)
-        assert len(traj.records) == 50
-        assert any(r.status == "failed" for r in traj.records)
-        assert best is not None
+        for driver in self.DRIVERS:
+            best, traj = driver(space, None, budget=50, seed=3, evaluator=flaky)
+            assert len(traj.records) == 50
+            assert any(r.status == "failed" for r in traj.records)
+            assert best is not None
 
     def test_finds_unique_optimum_with_structure(self):
         space = build_search_space("linear", grid_resolution=3, kappa=0.7, c_uct=0.5)
