@@ -52,4 +52,4 @@ from .search import (
     reward_from_mse,
     search,
 )
-from .stats import a12, best_so_far, mse, plateau_index, wilcoxon_signed_rank
+from .stats import a12, best_so_far, wilcoxon_signed_rank

@@ -10,7 +10,8 @@ Three families, all mapping a lag window x (length w) to a scalar forecast:
 Parameters live in a single flat float64 vector with a fixed layout per
 LearnerSpec, so the meta-level code can treat every family identically.
 Gradients are exact analytic reverse-mode derivatives of the summed squared
-error, written out by hand (no autodiff framework).
+error, written out by hand (no autodiff framework). The linear and mlp passes
+write each block straight into one (..., p) gradient buffer.
 
 The recurrent pass caches time-major chunks of CHUNK steps, (n, ..., batch, w):
 the rows [x_t, h_{t-1}, 1], the gates [z, r] and the candidate. Its backward
@@ -18,7 +19,8 @@ overwrites gates and candidate with their pre-activation gradients and takes a
 chunk's U, w and b gradients in one contraction over its rows and [x_t, r*h, 1].
 
 The five optimizers act on (theta, grad) pairs and are pure: they return an
-updated vector and an advanced state instead of mutating anything.
+updated vector and an advanced state instead of mutating anything, each
+built with in-place operations on fresh buffers.
 """
 
 from __future__ import annotations
@@ -236,26 +238,28 @@ def _squared_error(residuals, average):
 
 def _grad_linear(spec, theta, X, y):
     residuals = _forward_linear(spec, theta, X) - y
-    dy = 2.0 * residuals
-    return residuals, np.concatenate([(dy[..., None, :] @ X)[..., 0, :], dy.sum(axis=-1, keepdims=True)], axis=-1)
+    dy, grad = 2.0 * residuals, np.empty(residuals.shape[:-1] + (spec.input_dim + 1,))
+    np.matmul(dy[..., None, :], X, out=grad[..., None, :-1])
+    np.add.reduce(dy, axis=-1, out=grad[..., -1])
+    return residuals, grad
 
 
 def _grad_mlp(spec, theta, X, y):
-    _, _, v, _ = _unpack_mlp(spec, theta)
+    d, h, v = spec.input_dim, spec.width, _unpack_mlp(spec, theta)[2]
     yhat, hidden = _forward_mlp(spec, theta, X, want_cache=True)
     residuals = yhat - y
-    dy = 2.0 * residuals
-    dv = (hidden.swapaxes(-1, -2) @ dy[..., None])[..., 0]
-    db2 = dy.sum(axis=-1, keepdims=True)
+    dy, grad = 2.0 * residuals, np.empty(residuals.shape[:-1] + (n_params(spec),))
+    np.matmul(hidden.swapaxes(-1, -2), dy[..., None], out=grad[..., h * d + h : -1, None])  # dv
+    np.add.reduce(dy, axis=-1, out=grad[..., -1])  # db2
     # (dy v)(1 - h^2), as the out-of-place form rounds it, with hidden
     # overwritten by 1 - h^2 instead of two more (batch, width) temporaries
     da = dy[..., :, None] * v[..., None, :]
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     da *= hidden
-    dW1 = da.swapaxes(-1, -2) @ X
-    db1 = da.sum(axis=-2)
-    return residuals, np.concatenate([dW1.reshape(db1.shape[:-1] + (-1,)), db1, dv, db2], axis=-1)
+    np.matmul(da.swapaxes(-1, -2), X, out=grad[..., : h * d].reshape(grad.shape[:-1] + (h, d)))  # dW1
+    np.add.reduce(da, axis=-2, out=grad[..., h * d : h * d + h])  # db1
+    return residuals, grad
 
 
 def _grad_recurrent(spec, theta, X, y):
@@ -333,33 +337,57 @@ def optimizer_step(
     for a in state.acc:
         if a.shape != theta.shape:
             raise ValueError(f"optimizer state shape {a.shape} != theta shape {theta.shape}")
-    bad = np.flatnonzero(~np.isfinite(grad))
-    if bad.size:
-        raise NumericError(f"non-finite gradient at coordinate {int(bad[0])}")
+    if not np.isfinite(grad).all():
+        raise NumericError(f"non-finite gradient at coordinate {int(np.flatnonzero(~np.isfinite(grad))[0])}")
 
-    t = state.step + 1
-    if state.kind == "sgd":
-        return theta - lr * grad, OptimizerState("sgd", t, ())
-    if state.kind == "adam":
-        m, s = state.acc
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-        s = ADAM_BETA2 * s + (1.0 - ADAM_BETA2) * grad**2
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        s_hat = s / (1.0 - ADAM_BETA2**t)
-        return theta - lr * m_hat / (np.sqrt(s_hat) + ADAM_EPS), OptimizerState("adam", t, (m, s))
-    if state.kind == "rmsprop":
-        (s,) = state.acc
-        s = RMSPROP_RHO * s + (1.0 - RMSPROP_RHO) * grad**2
-        return theta - lr * grad / (np.sqrt(s) + RMSPROP_EPS), OptimizerState("rmsprop", t, (s,))
-    if state.kind == "adadelta":
-        s, d = state.acc
-        s = ADADELTA_RHO * s + (1.0 - ADADELTA_RHO) * grad**2
-        delta = -np.sqrt(d + ADADELTA_EPS) / np.sqrt(s + ADADELTA_EPS) * grad
-        d = ADADELTA_RHO * d + (1.0 - ADADELTA_RHO) * delta**2
-        return theta + lr * delta, OptimizerState("adadelta", t, (s, d))
-    (s,) = state.acc
-    s = s + grad**2
-    return theta - lr * grad / (np.sqrt(s) + ADAGRAD_EPS), OptimizerState("adagrad", t, (s,))
+    # Each update is its out-of-place expression in the same operation order, built in fresh buffers: ``new`` is
+    # the returned vector, ``sq`` scratch (grad**2 is np.square(grad)).
+    t, kind = state.step + 1, state.kind
+    if kind == "sgd":
+        new, acc = np.multiply(lr, grad), ()
+    elif kind == "adam":  # theta - lr * (m / (1 - b1**t)) / (sqrt(s / (1 - b2**t)) + eps)
+        m, s = np.multiply(ADAM_BETA1, state.acc[0]), np.multiply(ADAM_BETA2, state.acc[1])
+        sq = np.multiply(1.0 - ADAM_BETA1, grad)
+        m += sq
+        np.square(grad, out=sq)
+        sq *= 1.0 - ADAM_BETA2
+        s += sq
+        new, acc = np.divide(m, 1.0 - ADAM_BETA1**t), (m, s)
+        np.divide(s, 1.0 - ADAM_BETA2**t, out=sq)
+        np.sqrt(sq, out=sq)
+        sq += ADAM_EPS
+        new *= lr
+        new /= sq
+    elif kind == "adadelta":  # delta = -sqrt(d + eps) / sqrt(s + eps) * grad; theta + lr * delta
+        s, sq = np.multiply(ADADELTA_RHO, state.acc[0]), np.square(grad)
+        sq *= 1.0 - ADADELTA_RHO
+        s += sq
+        new = np.add(state.acc[1], ADADELTA_EPS)
+        np.sqrt(new, out=new)
+        np.negative(new, out=new)
+        np.add(s, ADADELTA_EPS, out=sq)
+        np.sqrt(sq, out=sq)
+        new /= sq
+        new *= grad
+        d = np.multiply(ADADELTA_RHO, state.acc[1])
+        np.square(new, out=sq)
+        sq *= 1.0 - ADADELTA_RHO
+        d += sq
+        new *= lr
+        return np.add(theta, new, out=new), OptimizerState(kind, t, (s, d))
+    else:  # rmsprop and adagrad: theta - lr * grad / (sqrt(s) + eps)
+        sq = np.square(grad)
+        if kind == "rmsprop":
+            s, eps = np.multiply(RMSPROP_RHO, state.acc[0]), RMSPROP_EPS
+            sq *= 1.0 - RMSPROP_RHO
+            s += sq
+        else:
+            s, eps = np.add(state.acc[0], sq), ADAGRAD_EPS
+        new, acc = np.multiply(lr, grad), (s,)
+        np.sqrt(s, out=sq)
+        sq += eps
+        new /= sq
+    return np.subtract(theta, new, out=new), OptimizerState(kind, t, acc)
 
 
 # --- checkpoint serialization ---------------------------------------------

@@ -17,8 +17,8 @@ iterations is the first ``r`` of any longer one. It draws the task picks
 (first ``n_pick`` of a stable argsort of ``random((B, n_tasks))``), then
 ``random((B, n_t))`` support keys per task in task order, then query keys
 alike. An episode takes the rows of a pool's ``shots`` smallest keys in
-ascending row order. One fancy index per pool kind gathers each run of at
-most GATHER_BYTES. An iteration runs as one pass stacked over its tasks, or,
+ascending row order. One ``take`` per pool kind gathers each run of at most
+GATHER_BYTES. An iteration runs as one pass stacked over its tasks, or,
 when pools shorter than ``shots`` differ in length, as one single-task stack per
 task through the same pass; either way the per-task losses and gradients are
 added in task order, so a task's bits do not depend on its stack.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class PipelineConfig:
     choices: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
-        out = {**asdict(self), "choices": list(self.choices)}
+        out = {**vars(self), "choices": list(self.choices)}  # a field-order copy; asdict would deep-copy
         if self.shots is None:
             del out["shots"]
         return out
@@ -135,7 +135,7 @@ class EvaluationRecord:
 
     def to_json(self) -> str:
         """The record as sorted-key JSON without ``wall_time_ms``, so equal runs give equal bytes."""
-        payload = {**asdict(self), "config": self.config.to_dict()}
+        payload = {**vars(self), "config": self.config.to_dict()}
         del payload["wall_time_ms"]
         return json.dumps(payload, sort_keys=True)
 
@@ -186,7 +186,7 @@ def _meta_step(spec, theta, stacks, cfg, opt_state) -> tuple[np.ndarray, object,
     pass over each stack's task axis per inner step, with each task's arithmetic, and so its bits, the same in any
     stack; the query losses and gradients are summed in task order."""
     residuals_and_gradient = RESIDUALS_AND_GRADIENTS[spec.family]
-    total_grad, value = np.zeros_like(theta), 0.0
+    total_grad, value = np.zeros(theta.shape), 0.0
     for support, query in stacks:
         adapted = theta[None, :]  # broadcast against the task axis until the first step
         for _ in range(cfg.inner_steps):
@@ -194,9 +194,8 @@ def _meta_step(spec, theta, stacks, cfg, opt_state) -> tuple[np.ndarray, object,
             step *= -cfg.inner_lr
             adapted = np.add(step, adapted, out=step)  # adapted - lr * grad, in the gradient's buffer
         residuals, grads = residuals_and_gradient(spec, adapted, *query)
-        for task_residuals, task_grad in zip(residuals, grads):
-            total_grad += task_grad
-            value += float(task_residuals @ task_residuals)
+        total_grad += np.add.reduce(grads, axis=0)  # the (K, p) rows added in task order
+        value = sum((residuals[:, None, :] @ residuals[:, :, None]).ravel().tolist(), value)  # each r @ r, by dot
     theta, opt_state = optimizer_step(opt_state, theta, total_grad, cfg.outer_lr)
     return theta, opt_state, value
 
@@ -224,7 +223,7 @@ def _draw_block(tasks: list[TaskDataset], n_pick: int, shots: int, rng):
 def _gather(X, y, rows, picked, its):
     if len({r.shape[1] for r in rows}) == 1:
         index = np.take_along_axis(np.stack([r[its] for r in rows], axis=1), picked[its, :, None], axis=1)
-        return list(zip(X[index], y[index]))
+        return list(zip(X.take(index, axis=0), y.take(index, axis=0)))
     return [([X[rows[t][i]] for t in ts], [y[rows[t][i]] for t in ts]) for i, ts in enumerate(picked[its], its.start)]
 
 
@@ -243,6 +242,7 @@ def meta_train(
     if n_pick > n_tasks:
         raise ValueError(f"tasks_per_iter={n_pick} exceeds the {n_tasks} available tasks")
     theta = init_params(spec, derive_seed(seed, "meta-init")) if theta0 is None else theta0.copy()
+    _check_theta(spec, theta)
     opt_state = init_optimizer(cfg.optimizer, theta.size)
     curve: list[tuple[int, float]] = []
     for it in range(cfg.meta_iterations):

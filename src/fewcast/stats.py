@@ -1,11 +1,11 @@
 """Metrics and nonparametric comparison statistics.
 
-Mean squared error, the Vargha-Delaney A12 effect size with categorical
-thresholds (0.56 / 0.64 / 0.71 above the 0.5 equivalence point), and a
-two-sided Wilcoxon signed-rank test that is exact (full enumeration of sign
-assignments) up to 12 effective pairs and normally approximated with tie and
-continuity corrections beyond that. Also the trajectory analytics used to
-summarize search runs (running best, plateau detection).
+The Vargha-Delaney A12 effect size with categorical thresholds (0.56 / 0.64
+/ 0.71 above the 0.5 equivalence point), and a two-sided Wilcoxon
+signed-rank test that is exact (full enumeration of sign assignments) up to
+12 effective pairs and normally approximated with tie and continuity
+corrections beyond that. Also the running best used to summarize search
+runs.
 """
 
 from __future__ import annotations
@@ -36,17 +36,6 @@ class TestOutcome:
     p_value: float
     significant: bool
     n_effective: int
-
-
-def mse(y, y_hat) -> float:
-    """Mean squared error between equal-length 1-D vectors."""
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y.ndim != 1 or y.shape != y_hat.shape:
-        raise ValueError(f"need equal-length 1-D vectors, got shapes {y.shape} and {y_hat.shape}")
-    if y.size == 0:
-        raise ValueError("mse of empty vectors is undefined")
-    return float(np.mean((y - y_hat) ** 2))
 
 
 def categorize_a12(value: float) -> str:
@@ -159,20 +148,6 @@ def best_so_far(records) -> list[float]:
             best = min(best, record.test_mse)
         out.append(best)
     return out
-
-
-def plateau_index(best: list[float], tolerance: float) -> int:
-    """Smallest index whose value is within ``tolerance`` (relative) of the
-    final best; the last index when never satisfied."""
-    if not best:
-        raise ValueError("plateau_index of an empty sequence is undefined")
-    final = best[-1]
-    if not math.isfinite(final):
-        return len(best) - 1
-    for i, value in enumerate(best):
-        if value - final <= tolerance * final:
-            return i
-    return len(best) - 1
 
 
 def compare_samples(errors_a, errors_b) -> dict:

@@ -241,6 +241,46 @@ def test_stacked_and_broadcast_passes_keep_the_per_task_bits(family, width, batc
                 assert grads[k].tobytes() == grad.tobytes()
 
 
+def concatenated_linear(spec, theta, X, y):
+    """The linear gradient pass as written before it filled one buffer: each block built, then concatenated."""
+    residuals = learners._forward_linear(spec, theta, X) - y
+    dy = 2.0 * residuals
+    return residuals, np.concatenate([(dy[..., None, :] @ X)[..., 0, :], dy.sum(axis=-1, keepdims=True)], axis=-1)
+
+
+def concatenated_mlp(spec, theta, X, y):
+    """The mlp gradient pass as written before it filled one buffer."""
+    _, _, v, _ = learners._unpack_mlp(spec, theta)
+    yhat, hidden = learners._forward_mlp(spec, theta, X, want_cache=True)
+    residuals = yhat - y
+    dy = 2.0 * residuals
+    dv = (hidden.swapaxes(-1, -2) @ dy[..., None])[..., 0]
+    db2 = dy.sum(axis=-1, keepdims=True)
+    da = dy[..., :, None] * v[..., None, :] * (1.0 - hidden**2)
+    dW1 = da.swapaxes(-1, -2) @ X
+    db1 = da.sum(axis=-2)
+    return residuals, np.concatenate([dW1.reshape(db1.shape[:-1] + (-1,)), db1, dv, db2], axis=-1)
+
+
+@pytest.mark.parametrize("stack", ["single", "broadcast", "tasks"])
+@pytest.mark.parametrize("batch", [1, 10, 115])
+@pytest.mark.parametrize("family, width, reference", [("linear", 1, concatenated_linear), ("mlp", 1, concatenated_mlp),
+                                                      ("mlp", 128, concatenated_mlp), ("mlp", 1024, concatenated_mlp)])
+def test_one_buffer_gradients_keep_the_concatenated_bits(family, width, reference, batch, stack):
+    rng = np.random.default_rng(width * 1000 + batch)
+    spec = LearnerSpec(family, input_dim=24, width=width)
+    p = n_params(spec)
+    theta_shape, X_shape = {"single": ((p,), (batch, 24)), "broadcast": ((1, p), (4, batch, 24)),
+                            "tasks": ((4, p), (4, batch, 24))}[stack]
+    theta = init_params(spec, seed=3) + 0.1 * rng.standard_normal(theta_shape)
+    X, y = rng.standard_normal(X_shape), rng.standard_normal(X_shape[:-1])
+    expected_residuals, expected_grad = reference(spec, theta, X, y)
+    residuals, grad = learners.RESIDUALS_AND_GRADIENTS[family](spec, theta, X, y)
+    assert residuals.tobytes() == expected_residuals.tobytes()
+    assert grad.shape == expected_grad.shape and grad.flags.c_contiguous
+    assert grad.tobytes() == expected_grad.tobytes()
+
+
 def reference_recurrent(spec, theta, X):
     """The gated recurrent cell step by step, from the flat layout: per gate
     w (h), U (h x h, applied as h @ U) and b (h), then the readout v and c."""
@@ -270,6 +310,31 @@ def test_recurrent_pass_across_chunk_boundaries(input_dim, width, batch):
     assert residuals.tobytes() == (forward(spec, theta, X) - y).tobytes()  # the forward the gradient pass caches
     assert np.allclose(forward(spec, theta, X), reference_recurrent(spec, theta, X), rtol=1e-12, atol=1e-12)
     assert_gradients_close(grad, finite_difference(spec, theta, data))
+
+
+def out_of_place_step(state, theta, grad, lr):
+    """Every optimizer update as an out-of-place expression: the reference
+    whose bits the buffer-reusing updates must keep."""
+    t = state.step + 1
+    if state.kind == "sgd":
+        return theta - lr * grad, ()
+    if state.kind == "adam":
+        m, s = state.acc
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        s = 0.999 * s + (1.0 - 0.999) * grad**2
+        m_hat, s_hat = m / (1.0 - 0.9**t), s / (1.0 - 0.999**t)
+        return theta - lr * m_hat / (np.sqrt(s_hat) + 1e-8), (m, s)
+    if state.kind == "rmsprop":
+        s = 0.9 * state.acc[0] + (1.0 - 0.9) * grad**2
+        return theta - lr * grad / (np.sqrt(s) + 1e-8), (s,)
+    if state.kind == "adadelta":
+        s, d = state.acc
+        s = 0.95 * s + (1.0 - 0.95) * grad**2
+        delta = -np.sqrt(d + 1e-6) / np.sqrt(s + 1e-6) * grad
+        d = 0.95 * d + (1.0 - 0.95) * delta**2
+        return theta + lr * delta, (s, d)
+    s = state.acc[0] + grad**2
+    return theta - lr * grad / (np.sqrt(s) + 1e-10), (s,)
 
 
 class TestOptimizers:
@@ -341,6 +406,29 @@ class TestOptimizers:
         assert np.array_equal(grad, grad_copy)
         for acc in state.acc:
             assert np.all(acc == 0.0)
+
+    @pytest.mark.parametrize("size", [1, 25, 1000])
+    @pytest.mark.parametrize("kind", OPTIMIZERS)
+    def test_updates_keep_the_out_of_place_bits(self, kind, size):
+        # 60 steps at random learning rates in [1e-4, 0.5], gradient magnitudes spanning 1e-8 to 1e3 and both signs
+        rng = np.random.default_rng(OPTIMIZERS.index(kind) * 10 + size)
+        state, theta = init_optimizer(kind, size), rng.standard_normal(size)
+        for step in range(60):
+            grad = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 3, size)
+            lr = float(rng.uniform(1e-4, 0.5))
+            expected_theta, expected_acc = out_of_place_step(state, theta, grad, lr)
+            theta, state = optimizer_step(state, theta, grad, lr)
+            assert state.step == step + 1 and len(state.acc) == len(expected_acc)
+            assert theta.tobytes() == expected_theta.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(state.acc, expected_acc))
+
+    @pytest.mark.parametrize("kind", OPTIMIZERS)
+    def test_returns_fresh_arrays(self, kind):
+        state, theta, grad = init_optimizer(kind, 3), np.ones(3), np.full(3, 0.5)
+        new_theta, new_state = optimizer_step(state, theta, grad, lr=0.1)
+        inputs, outputs = (theta, grad, *state.acc), (new_theta, *new_state.acc)
+        for i, out in enumerate(outputs):
+            assert not any(np.shares_memory(out, other) for other in inputs + outputs[:i])
 
     def test_shape_mismatch_rejected(self):
         state = init_optimizer("sgd", 2)

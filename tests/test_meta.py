@@ -1,6 +1,8 @@
 import contextlib
+import json
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from fewcast.learners import (
     value_and_grad,
 )
 from fewcast.meta import (
+    EvaluationRecord,
     MetaConfig,
     PipelineConfig,
     evaluate_pipeline,
@@ -298,6 +301,14 @@ class TestMetaTrain:
         with pytest.raises(ValueError):
             meta_train(LINEAR_1D, cfg_sgd(tasks_per_iter=2), [task], seed=0)
 
+    @pytest.mark.parametrize("shape", [(216,), (1, 209)])
+    def test_theta0_of_the_wrong_shape_rejected(self, shape):
+        # as outer_step rejects it, before any pass broadcasts it against the task axis
+        bundle, _ = synthetic_bundle()
+        spec = LearnerSpec("mlp", input_dim=24, width=8)
+        with pytest.raises(ValueError, match=re.escape(f"parameter vector has shape {shape}; spec requires (209,)")):
+            meta_train(spec, cfg_sgd(meta_iterations=1), bundle.train_tasks, seed=0, theta0=np.zeros(shape))
+
     def test_first_order_consistency(self):
         # composite update theta - outer_lr * grad_q(theta') with
         # theta' = theta - inner_lr * grad_s(theta), checked end to end
@@ -380,6 +391,22 @@ class TestEpisodeDraw:
             expected_theta, expected_curve = per_task_meta_train(spec, cfg, bundle.train_tasks, seed=4)
             assert runs[0][0].tobytes() == expected_theta.tobytes()
             assert runs[0][1] == expected_curve
+
+    @pytest.mark.parametrize("tasks_per_iter", [None, 8])
+    @pytest.mark.parametrize("family, width", [("linear", 1), ("mlp", 8), ("recurrent", 4)])
+    def test_task_axis_of_eight_or_more_matches_per_task_oracle(self, monkeypatch, family, width, tasks_per_iter):
+        # numpy sums an inner axis pairwise from 8 terms on; the query gradients of 8 or 9 stacked tasks must still
+        # be added in task order
+        series = generate_synthetic_tasks("synthetic", 10, 168, seed=13)
+        tasks = build_bundle(series[:9], series[9], window=24, seed=13).train_tasks
+        spec = LearnerSpec(family, input_dim=24, width=width)
+        cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer="adam", meta_iterations=4, tasks_per_iter=tasks_per_iter)
+        expected_theta, expected_curve = per_task_meta_train(spec, cfg, tasks, seed=5)
+        with self.passes(monkeypatch, family) as lengths:
+            theta, curve = meta_train(spec, cfg, tasks, seed=5)
+        assert lengths == [tasks_per_iter or 9] * (cfg.meta_iterations * 2)
+        assert theta.tobytes() == expected_theta.tobytes()
+        assert curve == expected_curve
 
     def test_block_is_the_default_run(self):
         assert meta.EPISODE_BLOCK == BLOCK == MetaConfig().meta_iterations
@@ -483,6 +510,47 @@ class TestFineTune:
     def test_steps_validated(self):
         with pytest.raises(ValueError):
             fine_tune(LINEAR_1D, np.zeros(2), [pair([1.0], 1.0)], finetune_lr=0.1, steps=0)
+
+
+def asdict_config(config):
+    """``PipelineConfig.to_dict`` as first written, through ``dataclasses.asdict``."""
+    out = {**asdict(config), "choices": list(config.choices)}
+    if config.shots is None:
+        del out["shots"]
+    return out
+
+
+def asdict_record_json(record):
+    """``EvaluationRecord.to_json`` as first written, through ``dataclasses.asdict``."""
+    payload = {**asdict(record), "config": asdict_config(record.config)}
+    del payload["wall_time_ms"]
+    return json.dumps(payload, sort_keys=True)
+
+
+class TestSerialization:
+    CONFIGS = {"without_shots": PipelineConfig("mlp", 128, 0.001, 0.02, 0.3, "adam", choices=(0, 4, 2, 1, 3)),
+               "with_shots": PipelineConfig("linear", 1, 0.5, 1e-4, 0.0123, "sgd", shots=20, choices=(1, 0))}
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_config_dict_equals_the_asdict_form(self, config):
+        config = self.CONFIGS[config]
+        assert json.dumps(config.to_dict()) == json.dumps(asdict_config(config))  # same keys in the same order
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("status", ["ok", "failed"])
+    def test_record_json_equals_the_asdict_form(self, config, status):
+        mse = {"ok": (0.0123456789012345, 3.0e5), "failed": (None, None)}[status]
+        record = EvaluationRecord(iteration=7, config=self.CONFIGS[config], val_mse=mse[0], test_mse=mse[1],
+                                  seed=2**63 + 5, wall_time_ms=12.5, status=status)
+        assert record.to_json() == asdict_record_json(record)
+
+    def test_evaluated_records_equal_the_asdict_form(self):
+        bundle, _ = synthetic_bundle()
+        for lr, status in ((0.001, "ok"), (0.5, "failed")):  # 0.5 diverges within 50 meta-iterations
+            config = PipelineConfig("linear", 1, lr, lr, lr, "sgd", shots=5, choices=(1, 2, 3))
+            record = evaluate_pipeline(config, bundle, seed=1, iteration=3)
+            assert record.status == status
+            assert record.to_json() == asdict_record_json(record)
 
 
 class TestEvaluatePipeline:

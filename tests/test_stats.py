@@ -10,8 +10,6 @@ from fewcast.stats import (
     best_so_far,
     categorize_a12,
     compare_samples,
-    mse,
-    plateau_index,
     wilcoxon_signed_rank,
 )
 
@@ -65,29 +63,6 @@ def record(iteration, test_mse, status="ok"):
         wall_time_ms=0.0,
         status=status,
     )
-
-
-class TestMse:
-    def test_identical_vectors(self):
-        assert mse([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-
-    def test_unit_residuals(self):
-        assert mse([0.0, 0.0], [1.0, 1.0]) == 1.0
-
-    def test_arithmetic(self):
-        assert mse([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]) == pytest.approx(2.0 / 3.0)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(0)
-        y, y_hat = rng.normal(size=20), rng.normal(size=20)
-        perm = rng.permutation(20)
-        assert mse(y, y_hat) == pytest.approx(mse(y[perm], y_hat[perm]), rel=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            mse([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            mse([], [])
 
 
 class TestA12:
@@ -222,19 +197,6 @@ class TestTrajectoryAnalytics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             best_so_far([])
-
-    def test_plateau_flat(self):
-        assert plateau_index([2.0, 2.0, 2.0], tolerance=0.0) == 0
-
-    def test_plateau_first_attainment(self):
-        assert plateau_index([10.0, 5.0, 1.0, 1.0, 1.0], tolerance=0.0) == 2
-
-    def test_plateau_with_tolerance(self):
-        # 1.04 - 1.0 = 0.04 <= 0.05 * 1.0
-        assert plateau_index([10.0, 5.0, 1.04, 1.0, 1.0], tolerance=0.05) == 2
-
-    def test_plateau_never_satisfied_returns_end(self):
-        assert plateau_index([math.inf, math.inf], tolerance=0.1) == 1
 
 
 class TestCompareSamples:
