@@ -29,7 +29,6 @@ from .learners import (
     init_params,
     loss,
     optimizer_step,
-    predict,
     value_and_grad,
 )
 from .meta import (

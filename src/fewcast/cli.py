@@ -125,7 +125,7 @@ def _config_argv(args, argv: list[str]) -> list[str]:
     """
     try:
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # the last for deeply nested arrays
         raise UsageError(f"{args.config}: not valid UTF-8 JSON ({exc})") from None
     if not isinstance(overrides, dict):
         raise UsageError(f"{args.config}: expected a JSON object")
@@ -172,7 +172,11 @@ def _load_series_dir(data_dir: Path, require_train: bool = True):
 META_FLAGS = ("meta_iterations", "shots", "finetune_steps", "inner_steps")
 
 
-def _add_meta_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of search and train: the data, family, seeds, window and fixed meta settings."""
+    p.add_argument("--data", required=True, help="directory produced by generate")
+    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--seed", type=int, nargs="+", default=None)
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     for name in META_FLAGS:
         p.add_argument(f"--{name.replace('_', '-')}", type=int, default=getattr(MetaConfig, name))
@@ -185,6 +189,22 @@ def _meta_config(args, **chosen) -> MetaConfig:
         raise UsageError(f"--window must be >= 1, got {args.window}")
     with _usage_errors():
         return MetaConfig(**{name: getattr(args, name) for name in META_FLAGS}, **chosen)
+
+
+def _run_seeds(args, train_series, target, run_seed) -> dict:
+    """The files of every seed in ``args.seed`` and their ``scores.csv``.
+
+    ``run_seed(seed, bundle)`` returns one seed's ``{name: content}`` map,
+    which goes under ``seed_<n>/``, and its test MSE.
+    """
+    files, scores = {}, ["seed,test_mse"]
+    for seed in args.seed:
+        bundle = build_bundle(train_series, target, window=args.window, seed=seed)
+        seed_files, test_mse = run_seed(seed, bundle)
+        files.update({f"seed_{seed}/{name}": content for name, content in seed_files.items()})
+        scores.append(f"{seed},{test_mse!r}")
+    files["scores.csv"] = _lines(scores)
+    return files
 
 
 def _read_scores(result_dir: Path) -> dict[int, float]:
@@ -242,20 +262,13 @@ def cmd_search(args) -> tuple[dict, dict]:
             include_shots_level=args.search_shots,
         )
     train_series, target = _load_series_dir(Path(args.data))
-    files, scores = {}, ["seed,test_mse"]
-    for seed in args.seed:
-        bundle = build_bundle(train_series, target, window=args.window, seed=seed)
+
+    def run_seed(seed, bundle):
         start = time.perf_counter()
         best, trajectory = search(space, bundle, args.budget, seed, settings=settings)
         total_ms = (time.perf_counter() - start) * 1000.0
-        seed_dir = f"seed_{seed}/"
-        files[seed_dir + "trajectory.jsonl"] = trajectory.to_jsonl()
         plot_rows = [f"{i},{v!r}" for i, v in enumerate(trajectory.best_so_far())]
-        files[seed_dir + "plot.csv"] = _lines(["iteration,best_so_far_mse"] + plot_rows)
         per_iter = [r.wall_time_ms for r in trajectory.records]
-        files[seed_dir + "timings.json"] = json.dumps(
-            {"per_iteration_ms": per_iter, "cumulative_ms": list(np.cumsum(per_iter)), "total_ms": total_ms}
-        ) + "\n"
         best_record = trajectory.best_record()
         summary = {
             "seed": seed,
@@ -266,9 +279,15 @@ def cmd_search(args) -> tuple[dict, dict]:
             "failed_evaluations": sum(1 for r in trajectory.records if r.status == "failed"),
             "total_wall_time_ms": total_ms,
         }
-        files[seed_dir + "summary.json"] = _json(summary)
-        scores.append(f"{seed},{best_record.test_mse if best_record else math.inf!r}")
-    files["scores.csv"] = _lines(scores)
+        timings = {"per_iteration_ms": per_iter, "cumulative_ms": list(np.cumsum(per_iter)), "total_ms": total_ms}
+        return {
+            "trajectory.jsonl": trajectory.to_jsonl(),
+            "plot.csv": _lines(["iteration,best_so_far_mse"] + plot_rows),
+            "timings.json": json.dumps(timings) + "\n",
+            "summary.json": _json(summary),
+        }, best_record.test_mse if best_record else math.inf
+
+    files = _run_seeds(args, train_series, target, run_seed)
     return files, {"family": args.family, "budget": args.budget, "seeds": args.seed}
 
 
@@ -284,72 +303,52 @@ def cmd_train(args) -> tuple[dict, dict]:
     settings = _meta_config(args, **chosen)
     config = PipelineConfig(family=args.family, width=1 if args.family == "linear" else args.width, **chosen)
     train_series, target = _load_series_dir(Path(args.data), require_train=not args.vanilla)
-    files, scores = {}, ["seed,test_mse"]
-    for seed in args.seed:
-        bundle = build_bundle(train_series, target, window=args.window, seed=seed)
+
+    def run_seed(seed, bundle):
         spec = LearnerSpec(family=config.family, input_dim=bundle.window, width=config.width)
         if args.vanilla:
             steps = args.train_steps or total_gradient_steps(settings, max(1, len(bundle.train_tasks)))
             theta0 = init_params(spec, derive_seed(seed, "vanilla-init"))
             theta, val_mse, test_mse = fine_tune_and_score(spec, theta0, bundle, settings, steps)
-            checkpoints = {"model.params": theta}
-            result = {"vanilla": True, "train_steps": steps, "train_curve": []}
+            checkpoints, curve = {"model.params": theta}, []
         else:
             meta_result, test_mse = train_pipeline(config, bundle, seed, settings)
-            val_mse = meta_result.val_mse
+            steps, val_mse = total_gradient_steps(settings, len(bundle.train_tasks)), meta_result.val_mse
             checkpoints = {"model.params": meta_result.theta_final, "meta_init.params": meta_result.theta_meta}
-            result = {
-                "vanilla": False,
-                "train_steps": total_gradient_steps(settings, len(bundle.train_tasks)),
-                "train_curve": [[it, value] for it, value in meta_result.train_curve],
-            }
-        seed_dir = f"seed_{seed}/"
+            curve = meta_result.train_curve  # (iteration, loss) pairs, JSON arrays
         extra = {"target_norm": list(bundle.target_norm or ()), "window": bundle.window}
-        for name, params in checkpoints.items():
-            files[seed_dir + name] = dump_params(spec, params, extra)
-        result.update(
-            {"seed": seed, "val_mse": val_mse, "test_mse": test_mse, "config": config.to_dict()}
-        )
-        files[seed_dir + "result.json"] = _json(result)
-        scores.append(f"{seed},{test_mse!r}")
-    files["scores.csv"] = _lines(scores)
-    return files, {"vanilla": args.vanilla, "seeds": args.seed}
+        files = {name: dump_params(spec, params, extra) for name, params in checkpoints.items()}
+        result = {"vanilla": args.vanilla, "train_steps": steps, "train_curve": curve, "seed": seed,
+                  "val_mse": val_mse, "test_mse": test_mse, "config": config.to_dict()}
+        files["result.json"] = _json(result)
+        return files, test_mse
+
+    return _run_seeds(args, train_series, target, run_seed), {"vanilla": args.vanilla, "seeds": args.seed}
 
 
 def cmd_predict(args) -> tuple[dict, dict]:
     if args.horizon < 1:
         raise UsageError(f"--horizon must be >= 1, got {args.horizon}")
     checkpoint = Path(args.checkpoint)
-    if checkpoint.is_dir():
-        checkpoint = checkpoint / "model.params"
-    spec, theta, extra = load_params(checkpoint)
-    window = extra.get("window", spec.input_dim)
-    if type(window) is not int or window != spec.input_dim:
-        raise CheckpointError(f"{checkpoint}: window {window!r} does not match input_dim {spec.input_dim}")
-    norm = extra.get("target_norm")  # train writes [] for a target it did not normalize
-    if norm not in (None, []) and not (
-        isinstance(norm, list) and len(norm) == 2
-        and all(type(x) in (int, float) and math.isfinite(x) for x in norm)
-    ):
-        raise CheckpointError(f"{checkpoint}: target_norm {norm!r} is neither null nor two finite numbers")
+    spec, theta, extra = load_params(checkpoint / "model.params" if checkpoint.is_dir() else checkpoint)
     _, target = _load_series_dir(Path(args.data), require_train=False)
     bundle = build_bundle([], target, window=spec.input_dim, test_horizon=args.horizon, seed=0)
     if len(bundle.test) < args.horizon:
         raise ShortSeriesError(f"target holds {len(bundle.test)} forecast steps; --horizon asks for {args.horizon}")
     X, y_true = pairs_to_arrays(bundle.test)
-    if args.recursive:
-        y_pred = []
-        lags = X[0].copy()
-        for _ in range(len(bundle.test)):
-            step_pred = float(forward(spec, theta, lags[None, :])[0])
-            y_pred.append(step_pred)
-            lags = np.concatenate([lags[1:], [step_pred]])
-        y_pred = np.array(y_pred)
-    else:
-        y_pred = forward(spec, theta, X)
-    if norm:
-        y_true = denormalize(y_true, tuple(norm))
-        y_pred = denormalize(y_pred, tuple(norm))
+    with np.errstate(all="ignore"):  # a non-finite forecast is reported below, not warned about
+        if args.recursive:  # each forecast becomes the newest lag of the next row
+            y_pred, row = np.empty(len(X)), X[:1].copy()
+            for i in range(len(X)):
+                y_pred[i] = forward(spec, theta, row)[0]
+                row[0] = np.append(row[0, 1:], y_pred[i])
+        else:
+            y_pred = forward(spec, theta, X)
+        if norm := extra.get("target_norm"):
+            y_true, y_pred = (denormalize(y, tuple(norm)) for y in (y_true, y_pred))
+    finite = np.isfinite(y_true) & np.isfinite(y_pred)
+    if not finite.all():
+        raise NumericError(f"forecast step {int(np.argmin(finite))} is not finite")
     rows = [f"{i},{float(t)!r},{float(p)!r}" for i, (t, p) in enumerate(zip(y_true, y_pred))]
     forecast = _lines(["step,y_true,y_pred"] + rows)
     return {"forecast.csv": forecast}, {"horizon": len(y_pred), "recursive": args.recursive}
@@ -386,64 +385,47 @@ def cmd_compare(args) -> tuple[dict, dict]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fewcast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config_flag(p):
-        p.add_argument("--config", default=None, help="JSON file supplying defaults for any option")
-
     gen = sub.add_parser("generate", help="write a synthetic multi-task bundle as CSVs")
-    add_config_flag(gen)
     gen.add_argument("--kind", choices=KINDS, default="synthetic")
     gen.add_argument("--tasks", type=int, default=4, help="number of training tasks")
     gen.add_argument("--hours", type=int, default=DEFAULT_HOURS)
     gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
 
     srch = sub.add_parser("search", help="MCTS over pipeline configurations")
-    srch.add_argument("--data", required=True, help="directory produced by generate")
-    srch.add_argument("--family", choices=FAMILIES, required=True)
+    _add_run_flags(srch)
     srch.add_argument("--budget", type=int, default=100)
-    srch.add_argument("--seed", type=int, nargs="+", default=None)
-    srch.add_argument("--out", required=True)
     srch.add_argument("--grid-resolution", type=int, default=8)
     srch.add_argument("--kappa", type=float, default=0.5)
     srch.add_argument("--c-uct", type=float, default=1.0)
-    _add_meta_flags(srch)
     srch.add_argument("--search-shots", action="store_true", help="add shots as a sixth decision level")
-    add_config_flag(srch)
     srch.set_defaults(func=cmd_search)
 
     trn = sub.add_parser("train", help="train one fixed pipeline (or a vanilla baseline)")
-    trn.add_argument("--data", required=True)
-    trn.add_argument("--family", choices=FAMILIES, required=True)
+    _add_run_flags(trn)
     trn.add_argument("--width", type=int, default=512)
     trn.add_argument("--inner-lr", type=float, default=MetaConfig.inner_lr)
     trn.add_argument("--outer-lr", type=float, default=MetaConfig.outer_lr)
     trn.add_argument("--finetune-lr", type=float, default=MetaConfig.finetune_lr)
     trn.add_argument("--optimizer", choices=OPTIMIZERS, default=MetaConfig.optimizer)
-    trn.add_argument("--seed", type=int, nargs="+", default=None)
-    trn.add_argument("--out", required=True)
-    _add_meta_flags(trn)
     trn.add_argument("--vanilla", action="store_true", help="skip meta-training; fit the validation slice only")
     trn.add_argument("--train-steps", type=int, default=None, help="vanilla step budget (default: match the meta run)")
-    add_config_flag(trn)
     trn.set_defaults(func=cmd_train)
 
     prd = sub.add_parser("predict", help="emit one-step-ahead forecasts from a checkpoint")
     prd.add_argument("--checkpoint", required=True, help=".params file or a train seed directory")
     prd.add_argument("--data", required=True)
-    prd.add_argument("--out", required=True)
     prd.add_argument("--horizon", type=int, default=24)
     prd.add_argument("--recursive", action="store_true", help="feed predictions back instead of true lags")
-    add_config_flag(prd)
     prd.set_defaults(func=cmd_predict)
 
     cmp_ = sub.add_parser("compare", help="Wilcoxon + A12 report over result directories")
     cmp_.add_argument("results", nargs="+", help="two or more train/search output directories")
-    cmp_.add_argument("--out", required=True)
-    add_config_flag(cmp_)
     cmp_.set_defaults(func=cmd_compare)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
+        p.add_argument("--config", default=None, help="JSON file supplying defaults for any option")
     return parser
 
 

@@ -122,7 +122,6 @@ class DataBundle:
     train_tasks: list[TaskDataset]
     validation: Windows
     test: Windows
-    target_id: str
     target_norm: tuple[float, float] | None
     window: int
 
@@ -280,7 +279,6 @@ def build_bundle(
         train_tasks=tasks,
         validation=target_pairs[:n_val],
         test=target_pairs[n - n_test :],
-        target_id=target.task_id,
         target_norm=target.norm,
         window=window,
     )
@@ -342,6 +340,8 @@ def load_csv(path) -> list[TimeSeries]:
         raise EmptyInputError(f"{path}: no data rows")
     out = []
     for task_id, stamped in rows.items():
+        if not math.isfinite(max(stamped.values()) - min(stamped.values())):  # normalize divides by this span
+            raise CsvError(f"{path}: the values of task {task_id!r} span more than a float64 can hold")
         values = np.array([stamped[t] for t in sorted(stamped)], dtype=np.float64)
         prefix = task_id.split("-")[0]
         kind = prefix if prefix in KINDS else "synthetic"

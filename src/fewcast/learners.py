@@ -26,6 +26,7 @@ built with in-place operations on fresh buffers.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,12 +73,7 @@ class LearnerSpec:
 
 
 def n_params(spec: LearnerSpec) -> int:
-    d, h = spec.input_dim, spec.width
-    if spec.family == "linear":
-        return d + 1
-    if spec.family == "mlp":
-        return h * d + h + h + 1
-    return 3 * (h + h * h + h) + h + 1  # recurrent: three gates + readout
+    return sum(size for size, _ in _init_plan(spec))
 
 
 def init_params(spec: LearnerSpec, seed: int) -> np.ndarray:
@@ -193,14 +189,6 @@ def forward(spec: LearnerSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise ValueError(f"inputs have shape {X.shape}; spec requires (n, {spec.input_dim})")
     return _FORWARDS[spec.family](spec, theta, X)
-
-
-def predict(spec: LearnerSpec, theta: np.ndarray, x: np.ndarray) -> float:
-    """Forecast for a single lag window."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.input_dim,):
-        raise ValueError(f"input has shape {x.shape}; spec requires ({spec.input_dim},)")
-    return float(forward(spec, theta, x[None, :])[0])
 
 
 def loss(spec: LearnerSpec, theta: np.ndarray, data: Windows, average: bool = False) -> float:
@@ -409,13 +397,16 @@ def dump_params(spec: LearnerSpec, theta: np.ndarray, extra: dict | None = None)
 
 
 def load_params(path) -> tuple[LearnerSpec, np.ndarray, dict]:
+    """The spec, finite parameters and ``extra`` block of a :func:`dump_params`
+    file; any ``extra`` window must equal the input dimension, and any
+    target_norm be empty or two finite numbers."""
     raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
     if newline < 0:
         raise CheckpointError(f"{path}: missing header line")
     try:
         header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # the last for deeply nested arrays
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
     if not isinstance(header, dict) or not isinstance(header.get("extra", {}), dict):
         raise CheckpointError(f"{path}: header or its 'extra' field is not a JSON object")
@@ -441,4 +432,16 @@ def load_params(path) -> tuple[LearnerSpec, np.ndarray, dict]:
         raise CheckpointError(
             f"{path}: payload holds {theta.size} values; header/spec require {n_params(spec)}"
         )
-    return spec, theta, header.get("extra", {})
+    if not np.isfinite(theta).all():
+        raise CheckpointError(f"{path}: parameter {int(np.flatnonzero(~np.isfinite(theta))[0])} is not finite")
+    extra = header.get("extra", {})
+    window = extra.get("window", input_dim)
+    if type(window) is not int or window != input_dim:
+        raise CheckpointError(f"{path}: window {window!r} does not match input_dim {input_dim}")
+    norm = extra.get("target_norm")  # train writes [] for a target it did not normalize
+    if norm not in (None, []) and not (
+        isinstance(norm, list) and len(norm) == 2
+        and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in norm)  # exact, even for a huge int
+    ):
+        raise CheckpointError(f"{path}: target_norm {norm!r} is neither null nor two finite numbers")
+    return spec, theta, extra

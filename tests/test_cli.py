@@ -13,6 +13,7 @@ import pytest
 import fewcast
 from fewcast.cli import main
 from fewcast.data import MAX_GENERATED_VALUES, csv_text, TimeSeries
+from fewcast.learners import NumericError
 from fewcast.search import MAX_GRID_RESOLUTION
 
 
@@ -98,6 +99,18 @@ class TestSearch:
                    "--seed", 1, "--out", out, "--grid-resolution", 2) == 0
         records = [json.loads(l) for l in (out / "seed_1" / "trajectory.jsonl").read_text().splitlines()]
         assert any(r["status"] == "failed" for r in records)
+
+    def test_all_failed_search_scores_inf(self, data_dir, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NumericError("diverged")
+
+        monkeypatch.setattr(fewcast.meta, "train_pipeline", diverge)
+        out = tmp_path / "failed"
+        assert run("search", "--data", data_dir, "--family", "linear", "--budget", 2,
+                   "--seed", 3, 4, "--out", out, *FAST) == 0
+        assert (out / "scores.csv").read_text() == "seed,test_mse\n3,inf\n4,inf\n"
+        summary = json.loads((out / "seed_3" / "summary.json").read_text())
+        assert summary["best_config"] is None and summary["failed_evaluations"] == 2
 
     def test_linear_budget_50_within_time_budget(self, data_dir, tmp_path):
         # measured well under a minute on commodity hardware; enforced at 3x
@@ -320,15 +333,23 @@ def _set_extra(key, value):
     return lambda header, payload: ({**header, "extra": {**header["extra"], key: value}}, payload)
 
 
-def _predict_edited_checkpoint(edit):
+def _predict_edited_checkpoint(edit, *flags):
     """predict from a copy of the trained checkpoint, its (header, payload) rewritten by ``edit``."""
     def argv(tmp, data, ckpt):
         header, payload = (ckpt / "model.params").read_bytes().split(b"\n", 1)
         header, payload = edit(json.loads(header), payload)
         path = tmp / "bad.params"
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-        return ["predict", "--checkpoint", path, "--data", data]
+        return ["predict", "--checkpoint", path, "--data", data, *flags]
     return argv
+
+
+def _set_params(index, value):
+    def edit(header, payload):
+        theta = np.frombuffer(payload, dtype="<f8").copy()
+        theta[index] = value
+        return header, theta.tobytes()
+    return edit
 
 
 def _drop(key):
@@ -367,6 +388,25 @@ def _drop(key):
         pytest.param(_predict_edited_checkpoint(lambda h, p: ({**h, "width": "x"}, p)), 3, id="checkpoint-width-x"),
         pytest.param(_predict_edited_checkpoint(_set_extra("target_norm", "ab")), 3, id="checkpoint-target-norm-ab"),
         pytest.param(_predict_edited_checkpoint(_set_extra("window", "24")), 3, id="checkpoint-window-string"),
+        pytest.param(_predict_edited_checkpoint(_set_params(3, np.nan)), 3, id="checkpoint-nan-payload"),
+        pytest.param(_predict_edited_checkpoint(_set_params(3, np.nan), "--recursive"), 3,
+                     id="checkpoint-nan-payload-recursive"),
+        # finite weights whose forecast overflows, before or after it is denormalized
+        pytest.param(_predict_edited_checkpoint(_set_params(slice(0, 2), 1e308)), 4,
+                     id="checkpoint-forecast-overflows"),
+        pytest.param(_predict_edited_checkpoint(_set_params(slice(0, 2), 1e308), "--recursive"), 4,
+                     id="checkpoint-forecast-overflows-recursive"),
+        pytest.param(_predict_edited_checkpoint(_set_extra("target_norm", [-1e308, 1e308])), 4,
+                     id="checkpoint-target-norm-span-overflows"),
+        pytest.param(_on_file("bad.params", b"[" * 100_000 + b"\n" + bytes(8),
+                              lambda d, ckpt: ["predict", "--checkpoint", d / "bad.params", "--data", d]),
+                     3, id="checkpoint-deeply-nested-header"),
+        pytest.param(_on_file("run.json", b"[" * 100_000, lambda d, ckpt: ["generate", "--config", d / "run.json"]),
+                     2, id="config-deeply-nested"),
+        # two finite values whose difference, the span normalize divides by, overflows
+        pytest.param(_on_file("target.csv", b"task_id,timestamp,value\nt,0,-1e308\nt,1,1e308\n",
+                              lambda d, ckpt: ["predict", "--checkpoint", ckpt, "--data", d]),
+                     3, id="target-span-overflows"),
         # one 0xff byte, which is not UTF-8
         pytest.param(_on_file("target.csv", b"\xff\n", lambda d, ckpt: ["predict", "--checkpoint", ckpt, "--data", d]),
                      3, id="predict-undecodable-target"),

@@ -1,0 +1,202 @@
+"""Random mutations of valid command lines and input files, after Miller et al. (1990).
+
+Each case calls ``main`` in process on a mutated command line, or on a valid
+one whose data, checkpoint, config or scores file has been mutated. Every
+case must end in a known exit code (0 success, 2 usage, 3 data, 4 numeric)
+without an escaping exception; a failure must print exactly one stderr line
+and write nothing. argparse's own usage text spans several lines and is
+exempt. A warning counts as a stderr line, since a console run prints it.
+
+The cases are drawn from ``random.Random`` with fixed seeds, and every valid
+value they can reach keeps a command cheap (linear learners, tiny budgets):
+huge numbers go only to flags that must reject them before any work.
+"""
+
+import json
+import random
+import shutil
+import warnings
+
+import numpy as np
+import pytest
+
+from fewcast.cli import main
+
+CASES = {"argv": 140, "data": 60, "checkpoint": 60, "config": 20, "scores": 20}
+RUN_FLAGS = ["--data", "--family", "--seed", "--window", "--meta-iterations", "--shots", "--finetune-steps",
+             "--inner-steps", "--config"]
+OWN_FLAGS = {  # each command's flags, which a mutation adds more often than a foreign one
+    "generate": ["--kind", "--tasks", "--hours", "--seed", "--config"],
+    "search": RUN_FLAGS + ["--budget", "--grid-resolution", "--kappa", "--c-uct", "--search-shots"],
+    "train": RUN_FLAGS + ["--width", "--inner-lr", "--outer-lr", "--finetune-lr", "--optimizer", "--vanilla",
+                          "--train-steps"],
+    "predict": ["--checkpoint", "--data", "--horizon", "--recursive", "--config"],
+    "compare": ["--config"],
+}
+SWITCHES = {"--vanilla", "--search-shots", "--recursive", "--help", "--"}
+FLAGS = sorted({flag for flags in OWN_FLAGS.values() for flag in flags} | SWITCHES)
+# Flags whose every huge value is refused before any work is done
+HUGE_OK = {"--seed", "--window", "--width", "--kappa", "--c-uct", "--grid-resolution", "--hours", "--tasks",
+           "--horizon"}
+# Numbers around the bounds of the checks and of the 60-hour bundle (24 lags, 36 windows), then junk
+NUMBERS = ["-1", "0", "-0", "1", "2", "1.5", "1e-4", "0.5", "1e-300", "1e308", "-1e308", "nan", "inf", "-inf", "1e400",
+           "1_0", "٣", " 3", "23", "24", "35", "36", "59", "60", "61"]
+JUNK = ["", "x", "0x10", "adam", "linear", "pv", "-", "--", "--seed", "é"]
+NESTED = "[" * 100_000  # deeper than the JSON decoder's recursion limit
+CHOICES = {"--family": ["linear"], "--optimizer": ["sgd", "adam", "rmsprop", "adadelta", "adagrad"],
+           "--kind": ["wind", "pv", "load", "synthetic"]}  # linear keeps every case cheap
+HUGE = ["9" * 25, "-" + "9" * 25, "1e300"]
+JSON_VALUES = [None, True, False, -1, 0, 1, 2, 1.5, 1e308, -1e308, 10**30, -(10**400), float("nan"), float("inf"),
+               "", "x", "linear", "mlp", [], [0, 1], [1e308, -1e308], [10**400, 0], [True, 1], ["a", 1], [1, 2, 3], {}]
+PREFIX = {2: "usage error: ", 3: "data error: ", 4: "numeric failure: "}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A tiny generated bundle, a linear checkpoint trained on it and that run's scores."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["generate", "--tasks", "2", "--hours", "60", "--seed", "1", "--out", str(root / "data")]) == 0
+    assert main(["train", "--data", str(root / "data"), "--family", "linear", "--meta-iterations", "1",
+                 "--seed", "1", "2", "--out", str(root / "train")]) == 0
+    return root
+
+
+def _commands(data, ckpt, results):
+    return [
+        ["generate", "--tasks", "2", "--hours", "60", "--seed", "1"],
+        ["search", "--data", data, "--family", "linear", "--budget", "2", "--meta-iterations", "1", "--seed", "1"],
+        ["train", "--data", data, "--family", "linear", "--meta-iterations", "1", "--seed", "1"],
+        ["train", "--data", data, "--family", "linear", "--vanilla", "--train-steps", "2", "--seed", "1"],
+        ["predict", "--checkpoint", ckpt, "--data", data, "--horizon", "4"],
+        ["predict", "--checkpoint", ckpt, "--data", data, "--horizon", "4", "--recursive"],
+        ["compare", results, results],
+    ]
+
+
+def _value(rng, flag=None):
+    if rng.random() < 0.2:
+        return rng.choice(JUNK)
+    if flag in CHOICES:
+        return rng.choice(CHOICES[flag])
+    return rng.choice(NUMBERS + HUGE if flag in HUGE_OK else NUMBERS)
+
+
+def _mutate_argv(rng, argv):
+    """Mostly new values and added flags, which argparse lets through to the commands; sometimes a token
+    dropped or repeated."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 2)):
+        op, flags = rng.choices(range(4), weights=(5, 4, 1, 1))[0], [j for j, t in enumerate(argv) if t[:2] == "--"]
+        if op == 0 and flags:
+            j = rng.choice(flags)
+            argv[j + 1 : j + 2] = [_value(rng, argv[j])]
+        elif op == 1:
+            flag = rng.choice(OWN_FLAGS.get(argv[0], FLAGS) * 4 + FLAGS)
+            argv += [flag] if flag in SWITCHES else [flag, _value(rng, flag)]
+        elif op == 2 and len(argv) > 1:
+            del argv[rng.randrange(1, len(argv))]
+        else:
+            argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(argv))
+    return argv
+
+
+def _mutate_text(rng, raw: bytes) -> bytes:
+    lines = raw.split(b"\n")
+    op, i = rng.randrange(6), rng.randrange(len(lines))
+    if op == 0:
+        pos = rng.randrange(len(raw))
+        return raw[:pos] + bytes([rng.randrange(256)]) + raw[pos + 1 :]
+    if op == 1:
+        return raw[: rng.randrange(len(raw))]
+    if op == 2:
+        del lines[i]
+    elif op == 3:
+        lines.insert(i, lines[rng.randrange(len(lines))])
+    elif op == 4:  # a field of one or two lines
+        for i in rng.sample(range(len(lines)), min(len(lines), rng.randint(1, 2))):
+            fields = lines[i].split(b",")
+            fields[rng.randrange(len(fields))] = _value(rng, "--seed").encode()
+            lines[i] = b",".join(fields)
+    else:
+        lines[i] = b""
+    return b"\n".join(lines)
+
+
+def _mutate_checkpoint(rng, raw: bytes) -> bytes:
+    head, payload = raw.split(b"\n", 1)
+    header = json.loads(head)
+    op = rng.randrange(5)
+    if op == 0:
+        header[rng.choice(["family", "input_dim", "width", "n_params", "format_version", "extra"])] = rng.choice(
+            JSON_VALUES)
+    elif op == 1:
+        header["extra"][rng.choice(["window", "target_norm"])] = rng.choice(JSON_VALUES)
+    elif op == 2:
+        theta = np.frombuffer(payload, dtype="<f8").copy()
+        theta[rng.randrange(theta.size)] = rng.choice([np.nan, np.inf, -np.inf, 1e308, -1e308, 1e200, 5e-324])
+        payload = theta.tobytes()
+    elif op == 3:
+        return _mutate_text(rng, raw)
+    else:
+        return NESTED.encode() + b"\n" + payload
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+def _case(kind, rng, inputs, work):
+    """The argv of one case, after writing any mutated file it reads into ``work``."""
+    data, ckpt, results = inputs / "data", inputs / "train" / "seed_1", inputs / "train"
+    if kind == "argv":
+        return _mutate_argv(rng, rng.choice(_commands(str(data), str(ckpt), str(results))))
+    if kind == "data":
+        shutil.copytree(data, work / "data")
+        path = work / "data" / rng.choice(["target.csv", "train_00.csv"])
+        path.write_bytes(_mutate_text(rng, path.read_bytes()))
+        return rng.choice(_commands(str(work / "data"), str(ckpt), str(results))[1:6])  # every reader of --data
+    if kind == "checkpoint":
+        path = work / "model.params"
+        path.write_bytes(_mutate_checkpoint(rng, (ckpt / "model.params").read_bytes()))
+        return rng.choice(_commands(str(data), str(path), str(results))[4:6])  # both predicts
+    if kind == "config":  # one key, most often a flag of the command itself
+        path, argv = work / "run.json", rng.choice(_commands(str(data), str(ckpt), str(results)))
+        flag = rng.choice(OWN_FLAGS[argv[0]] * 6 + FLAGS + ["--nope"])
+        values = JSON_VALUES if flag in HUGE_OK else [v for v in JSON_VALUES if v != 10**30]
+        value = rng.choice(values) if rng.random() < 0.5 else _value(rng, flag)
+        path.write_text(NESTED if rng.random() < 0.1 else json.dumps({flag[2:].replace("-", "_"): value}))
+        return [*argv, "--config", str(path)]
+    (work / "run").mkdir()
+    scores = (results / "scores.csv").read_bytes()
+    (work / "run" / "scores.csv").write_bytes(_mutate_text(rng, scores))
+    return ["compare", str(results), str(work / "run")]
+
+
+def _finite_forecast(out):
+    path = out / "forecast.csv"
+    return not path.exists() or np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)).all()
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_mutated_inputs_end_in_a_known_exit(kind, inputs, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # an empty path names this directory, never the checkout
+    failures = []
+    for i in range(CASES[kind]):
+        rng, work = random.Random(f"{kind}-{i}"), tmp_path / f"case{i}"
+        work.mkdir()
+        argv, out = _case(kind, rng, inputs, work), work / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main([*argv, "--out", str(out)])
+            except Exception as exc:  # what a console run would print as a traceback
+                failures.append(f"{kind}-{i} {argv}: escaped {exc!r}")
+                capsys.readouterr()
+                continue
+        captured = capsys.readouterr()
+        err = captured.err + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+        if code not in (0, 2, 3, 4):
+            failures.append(f"{kind}-{i} {argv}: exit {code}")
+        elif code == 0 and (caught or not _finite_forecast(out)):
+            failures.append(f"{kind}-{i} {argv}: exit 0 with {err!r}, or a non-finite forecast")
+        elif code and not (code == 2 and err.startswith("usage: ")):
+            if not err.startswith(PREFIX[code]) or err.count("\n") != 1 or out.exists():
+                failures.append(f"{kind}-{i} {argv}: exit {code} with {err!r}")
+    assert not failures, "\n".join(failures)

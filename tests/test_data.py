@@ -192,6 +192,13 @@ class TestCsv:
         with pytest.raises(CsvError, match="duplicate"):
             load_csv(path)
 
+    def test_span_beyond_float64_rejected(self, tmp_path):
+        # each value is finite, but max - min, which normalize divides by, is not
+        path = tmp_path / "span.csv"
+        path.write_text("task_id,timestamp,value\nA,0,-1e308\nA,1,1e308\nB,0,1e308\n")
+        with pytest.raises(CsvError, match="'A' span more than a float64"):
+            load_csv(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("A,0,1.0\n")

@@ -17,7 +17,6 @@ from fewcast.learners import (
     loss,
     n_params,
     optimizer_step,
-    predict,
     value_and_grad,
 )
 
@@ -64,6 +63,12 @@ class TestLayout:
         expected = 3 * (h + h * h + h) + h + 1
         assert n_params(LearnerSpec("recurrent", input_dim=8, width=h)) == expected
 
+    @pytest.mark.parametrize("width", [1, 8, 128])
+    @pytest.mark.parametrize("family", learners.FAMILIES)
+    def test_n_params_is_the_initialized_length(self, family, width):
+        spec = LearnerSpec(family, input_dim=5, width=width)
+        assert n_params(spec) == init_params(spec, seed=0).size
+
     def test_init_deterministic(self):
         spec = LearnerSpec("mlp", input_dim=12, width=32)
         assert np.array_equal(init_params(spec, seed=5), init_params(spec, seed=5))
@@ -81,15 +86,20 @@ class TestLayout:
         assert np.max(np.abs(theta[: 8 * 100])) <= bound
 
 
+def forecast_one(spec, theta, x):
+    """The forecast for a single lag window: ``forward`` on a one-row batch."""
+    return forward(spec, theta, np.asarray(x, dtype=np.float64)[None])[0]
+
+
 class TestPredict:
     def test_zero_params_predict_zero(self):
         spec = LearnerSpec("linear", input_dim=3)
-        assert predict(spec, np.zeros(4), np.array([1.0, -2.0, 5.0])) == 0.0
+        assert forecast_one(spec, np.zeros(4), [1.0, -2.0, 5.0]) == 0.0
 
     def test_linear_affine(self):
         spec = LearnerSpec("linear", input_dim=3)
         theta = np.array([1.0, 0.0, 0.0, 2.0])  # weights [1,0,0], bias 2
-        assert predict(spec, theta, np.array([3.0, 7.0, -1.0])) == 5.0
+        assert forecast_one(spec, theta, [3.0, 7.0, -1.0]) == 5.0
 
     def test_mlp_zero_readout_gives_bias(self):
         spec = LearnerSpec("mlp", input_dim=4, width=6)
@@ -98,19 +108,19 @@ class TestPredict:
         theta[-1] = 0.25  # readout bias
         rng = np.random.default_rng(0)
         for _ in range(5):
-            assert predict(spec, theta, rng.standard_normal(4)) == 0.25
+            assert forecast_one(spec, theta, rng.standard_normal(4)) == 0.25
 
     def test_dimension_mismatch(self):
         spec = LearnerSpec("linear", input_dim=3)
         with pytest.raises(ValueError):
-            predict(spec, np.zeros(4), np.array([1.0, 2.0]))
+            forecast_one(spec, np.zeros(4), [1.0, 2.0])
 
     def test_deterministic_bits(self):
         rng = np.random.default_rng(4)
         spec = LearnerSpec("recurrent", input_dim=6, width=4)
         theta = init_params(spec, seed=0) + 0.1 * rng.standard_normal(n_params(spec))
         x = rng.standard_normal(6)
-        assert predict(spec, theta, x) == predict(spec, theta, x)
+        assert forecast_one(spec, theta, x) == forecast_one(spec, theta, x)
 
 
 class TestLoss:
@@ -473,11 +483,54 @@ class TestSerialization:
         with pytest.raises(CheckpointError):
             load_params(path)
 
-    def test_forward_batch_matches_predict(self):
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"window": 4}, "window 4 does not match input_dim 3"),
+            ({"window": "3"}, "window '3' does not match"),
+            ({"target_norm": [0.0]}, "target_norm"),
+            ({"target_norm": [0.0, float("nan")]}, "target_norm"),
+            ({"target_norm": [0.0, 10**400]}, "target_norm"),
+            ({"target_norm": [True, 1.0]}, "target_norm"),
+            ({"target_norm": "ab"}, "target_norm"),
+        ],
+    )
+    def test_extra_block_checked(self, tmp_path, extra, message):
+        spec = LearnerSpec("linear", input_dim=3)
+        path = tmp_path / "model.params"
+        path.write_bytes(dump_params(spec, init_params(spec, seed=0), extra=extra))
+        with pytest.raises(CheckpointError, match=message):
+            load_params(path)
+
+    @pytest.mark.parametrize("extra", [{}, {"window": 3, "target_norm": []}, {"target_norm": None},
+                                       {"window": 3, "target_norm": [-2, 1e300]}])
+    def test_valid_extra_block_loads(self, tmp_path, extra):
+        spec = LearnerSpec("linear", input_dim=3)
+        path = tmp_path / "model.params"
+        path.write_bytes(dump_params(spec, init_params(spec, seed=0), extra=extra))
+        assert load_params(path)[2] == extra
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        spec = LearnerSpec("mlp", input_dim=3, width=2)
+        theta = init_params(spec, seed=0)
+        theta[5] = value
+        path = tmp_path / "model.params"
+        path.write_bytes(dump_params(spec, theta))
+        with pytest.raises(CheckpointError, match="parameter 5 is not finite"):
+            load_params(path)
+
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        path = tmp_path / "deep.params"
+        path.write_bytes(b"[" * 100_000 + b"\n")
+        with pytest.raises(CheckpointError, match="unreadable header"):
+            load_params(path)
+
+    def test_forward_batch_matches_single_rows(self):
         rng = np.random.default_rng(8)
         spec = LearnerSpec("recurrent", input_dim=5, width=3)
         theta = init_params(spec, seed=4) + 0.2 * rng.standard_normal(n_params(spec))
         X = rng.standard_normal((6, 5))
         batch = forward(spec, theta, X)
-        single = [predict(spec, theta, x) for x in X]
+        single = [forecast_one(spec, theta, x) for x in X]
         assert np.allclose(batch, single, atol=1e-12)
