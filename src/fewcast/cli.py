@@ -39,7 +39,6 @@ from .data import (
     denormalize,
     generate_synthetic_tasks,
     load_csv,
-    pairs_to_arrays,
     read_text,
     synthetic_task_params,
 )
@@ -316,7 +315,7 @@ def cmd_train(args) -> tuple[dict, dict]:
             steps, val_mse = total_gradient_steps(settings, len(bundle.train_tasks)), meta_result.val_mse
             checkpoints = {"model.params": meta_result.theta_final, "meta_init.params": meta_result.theta_meta}
             curve = meta_result.train_curve  # (iteration, loss) pairs, JSON arrays
-        extra = {"target_norm": list(bundle.target_norm or ()), "window": bundle.window}
+        extra = {"target_norm": list(bundle.target_norm), "window": bundle.window}
         files = {name: dump_params(spec, params, extra) for name, params in checkpoints.items()}
         result = {"vanilla": args.vanilla, "train_steps": steps, "train_curve": curve, "seed": seed,
                   "val_mse": val_mse, "test_mse": test_mse, "config": config.to_dict()}
@@ -332,11 +331,11 @@ def cmd_predict(args) -> tuple[dict, dict]:
     checkpoint = Path(args.checkpoint)
     spec, theta, extra = load_params(checkpoint / "model.params" if checkpoint.is_dir() else checkpoint)
     _, target = _load_series_dir(Path(args.data), require_train=False)
-    bundle = build_bundle([], target, window=spec.input_dim, test_horizon=args.horizon, seed=0)
-    if len(bundle.test) < args.horizon:
-        raise ShortSeriesError(f"target holds {len(bundle.test)} forecast steps; --horizon asks for {args.horizon}")
-    X, y_true = pairs_to_arrays(bundle.test)
-    with np.errstate(all="ignore"):  # a non-finite forecast is reported below, not warned about
+    with np.errstate(all="ignore"):  # a non-finite input or forecast is reported below, not warned about
+        bundle = build_bundle([], target, spec.input_dim, args.horizon, seed=0, target_norm=extra.get("target_norm"))
+        if len(bundle.test) < args.horizon:
+            raise ShortSeriesError(f"target holds {len(bundle.test)} forecast steps; --horizon asks for {args.horizon}")
+        X = bundle.test.X
         if args.recursive:  # each forecast becomes the newest lag of the next row
             y_pred, row = np.empty(len(X)), X[:1].copy()
             for i in range(len(X)):
@@ -344,11 +343,10 @@ def cmd_predict(args) -> tuple[dict, dict]:
                 row[0] = np.append(row[0, 1:], y_pred[i])
         else:
             y_pred = forward(spec, theta, X)
-        if norm := extra.get("target_norm"):
-            y_true, y_pred = (denormalize(y, tuple(norm)) for y in (y_true, y_pred))
-    finite = np.isfinite(y_true) & np.isfinite(y_pred)
-    if not finite.all():
-        raise NumericError(f"forecast step {int(np.argmin(finite))} is not finite")
+        y_pred = denormalize(y_pred, bundle.target_norm)
+    if not np.isfinite(y_pred).all():
+        raise NumericError(f"forecast step {int(np.argmin(np.isfinite(y_pred)))} is not finite")
+    y_true = target.values[-len(y_pred):]  # the target's own last values, which the test windows predict
     rows = [f"{i},{float(t)!r},{float(p)!r}" for i, (t, p) in enumerate(zip(y_true, y_pred))]
     forecast = _lines(["step,y_true,y_pred"] + rows)
     return {"forecast.csv": forecast}, {"horizon": len(y_pred), "recursive": args.recursive}
@@ -429,10 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_seed(args) -> None:
+def _require_values(args) -> None:
     seed = getattr(args, "seed", "not-applicable")
-    if seed is None or seed == []:
+    if seed is None:
         raise UsageError("--seed is required (on the command line or in --config)")
+    if empty := [name for name, value in vars(args).items() if value == []]:  # Python 3.11 parses "--flag=--" to []
+        raise UsageError(f"--{empty[0].replace('_', '-')} needs a value")
     if isinstance(seed, list) and len(set(seed)) < len(seed):
         raise UsageError(f"--seed lists seed {next(s for s in seed if seed.count(s) > 1)} more than once")
 
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(_config_argv(args, argv))
-        _require_seed(args)
+        _require_values(args)
         files, manifest_extra = args.func(args)
         manifest = {"artifact_version": __version__, "command": args.command, "argv": argv, **manifest_extra}
         files["manifest.json"] = _json(manifest)

@@ -40,15 +40,13 @@ class ShortSeriesError(EmptyInputError):
 class TimeSeries:
     """One task's raw hourly measurements.
 
-    ``norm`` records the (min, max) of the original values after
-    :func:`normalize` so predictions can be mapped back to raw units.
+    ``norm`` records the (lo, hi) that :func:`normalize` mapped onto (0, 1)
+    so predictions can be mapped back to raw units.
     """
 
     task_id: str
-    kind: str
     values: np.ndarray
     norm: tuple[float, float] | None = None
-    degenerate_scale: bool = False
 
 
 @dataclass(frozen=True)
@@ -122,12 +120,8 @@ class DataBundle:
     train_tasks: list[TaskDataset]
     validation: Windows
     test: Windows
-    target_norm: tuple[float, float] | None
+    target_norm: tuple[float, float]
     window: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "validation", _as_windows(self.validation))
-        object.__setattr__(self, "test", _as_windows(self.test))
 
 
 # Per-kind sampling ranges for the synthetic family: amplitude, phase (hours),
@@ -188,21 +182,18 @@ def generate_synthetic_tasks(kind: str, n_tasks: int, hours: int, seed: int) -> 
         params = synthetic_task_params(kind, i, seed)
         noise = params["sigma"] * spawn(seed, "task-noise", kind, i).standard_normal(hours)
         values = _profile(kind, params, hours, noise)
-        out.append(TimeSeries(task_id=f"{kind}-{i:02d}", kind=kind, values=values))
+        out.append(TimeSeries(task_id=f"{kind}-{i:02d}", values=values))
     return out
 
 
-def normalize(series: TimeSeries) -> TimeSeries:
-    """Min-max map onto [0, 1], recording (min, max) for later de-normalization.
-
-    A constant series maps to all zeros and sets ``degenerate_scale``.
-    """
+def normalize(series: TimeSeries, norm: tuple[float, float] | None = None) -> TimeSeries:
+    """Map (lo, hi) = ``norm``, by default the series' own (min, max), onto (0, 1),
+    recording it for later de-normalization. A zero span maps the series to all zeros."""
     if series.values.size == 0:
         raise ValueError("cannot normalize an empty series")
-    lo = float(series.values.min())
-    hi = float(series.values.max())
+    lo, hi = map(float, norm or (series.values.min(), series.values.max()))
     if hi == lo:
-        return replace(series, values=np.zeros_like(series.values), norm=(lo, hi), degenerate_scale=True)
+        return replace(series, values=np.zeros_like(series.values), norm=(lo, hi))
     return replace(series, values=(series.values - lo) / (hi - lo), norm=(lo, hi))
 
 
@@ -253,18 +244,20 @@ def build_bundle(
     window: int = DEFAULT_WINDOW,
     test_horizon: int = 24,
     seed: int = 0,
+    target_norm: tuple[float, float] | None = None,
 ) -> DataBundle:
     """Normalize, window, and split everything into a DataBundle.
 
-    The target's windows are cut into a leading validation slice (first 80%,
-    capped so it stays disjoint) and a trailing test slice of up to
-    ``test_horizon`` targets.
+    The target is normalized by ``target_norm`` (default: its own min/max),
+    each training series by its own. The target's windows are cut into a
+    leading validation slice (first 80%, capped so it stays disjoint) and a
+    trailing test slice of up to ``test_horizon`` targets.
     """
     if test_horizon < 1:
         raise ValueError(f"test_horizon must be >= 1, got {test_horizon}")
     if any(s.task_id == target_series.task_id for s in train_series):
         raise ValueError(f"target task id {target_series.task_id!r} also appears in the training tasks")
-    target = normalize(target_series)
+    target = normalize(target_series, target_norm)
     target_pairs = make_windows(target, window)
     n = len(target_pairs)
     if n < 2:
@@ -343,7 +336,5 @@ def load_csv(path) -> list[TimeSeries]:
         if not math.isfinite(max(stamped.values()) - min(stamped.values())):  # normalize divides by this span
             raise CsvError(f"{path}: the values of task {task_id!r} span more than a float64 can hold")
         values = np.array([stamped[t] for t in sorted(stamped)], dtype=np.float64)
-        prefix = task_id.split("-")[0]
-        kind = prefix if prefix in KINDS else "synthetic"
-        out.append(TimeSeries(task_id=task_id, kind=kind, values=values))
+        out.append(TimeSeries(task_id=task_id, values=values))
     return out

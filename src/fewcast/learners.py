@@ -438,7 +438,7 @@ def load_params(path) -> tuple[LearnerSpec, np.ndarray, dict]:
     window = extra.get("window", input_dim)
     if type(window) is not int or window != input_dim:
         raise CheckpointError(f"{path}: window {window!r} does not match input_dim {input_dim}")
-    norm = extra.get("target_norm")  # train writes [] for a target it did not normalize
+    norm = extra.get("target_norm")  # null or []: predict scales by the target's own min/max
     if norm not in (None, []) and not (
         isinstance(norm, list) and len(norm) == 2
         and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in norm)  # exact, even for a huge int

@@ -5,9 +5,10 @@ learning rates, optimizer, optionally shots). Child selection maximizes the
 UCT score Q/N + c*sqrt(ln N_parent / N_child); expansion is throttled by
 progressive widening (a node may gain a child only when ceil(N^kappa)
 increments); new options are ranked by all-moves-as-first (AMAF) reward
-statistics gathered from every simulation that passed through the node;
-remaining levels are filled by uniform random rollout; rewards back-propagate
-additively along the visited path.
+statistics from every simulation that passed through the node, kept only
+for the node's child level, the one level expansion reads; remaining levels
+are filled by uniform random rollout; rewards back-propagate additively
+along the visited path.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class TreeNode:
     visit_count: int = 0
     total_reward: float = 0.0
     children: list["TreeNode"] = field(default_factory=list)
-    amaf_stats: dict[tuple[int, int], list] = field(default_factory=dict)
+    amaf_stats: dict[int, list] = field(default_factory=dict)  # child-level option -> [count, reward sum]
 
 
 def uct_score(child: TreeNode, parent_visits: int, c_uct: float) -> float:
@@ -139,7 +140,6 @@ def maybe_expand(node: TreeNode, space: SearchSpace, rng) -> TreeNode | None:
     order)."""
     if node.level >= len(space.levels):
         return None
-    next_level = node.level + 1
     options = space.levels[node.level].options
     tried = {child.option for child in node.children}
     untried = [i for i in range(len(options)) if i not in tried]
@@ -150,13 +150,13 @@ def maybe_expand(node: TreeNode, space: SearchSpace, rng) -> TreeNode | None:
     shuffle_rank = {int(option): pos for pos, option in enumerate(rng.permutation(len(options)))}
 
     def rank(option: int):
-        stat = node.amaf_stats.get((next_level, option))
+        stat = node.amaf_stats.get(option)
         if stat is None or stat[0] == 0:
             return (0, 0.0, -shuffle_rank[option])
         return (1, stat[1] / stat[0], -shuffle_rank[option])
 
     choice = max(untried, key=rank)
-    child = TreeNode(level=next_level, option=choice)
+    child = TreeNode(level=node.level + 1, option=choice)
     node.children.append(child)
     return child
 
@@ -172,15 +172,15 @@ def rollout(prefix: tuple[int, ...], space: SearchSpace, rng) -> PipelineConfig:
 
 
 def backpropagate(path: list[TreeNode], reward: float, config: PipelineConfig) -> None:
-    """N += 1 and Q += reward on every path node; AMAF stats on each node for
-    every option the evaluated config took at deeper levels."""
+    """N += 1 and Q += reward on every path node; on each node above the last
+    level, the same update to the AMAF stat of the config's child-level option."""
     if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
     for node in path:
         node.visit_count += 1
         node.total_reward += reward
-        for level in range(node.level + 1, len(config.choices) + 1):
-            stat = node.amaf_stats.setdefault((level, config.choices[level - 1]), [0, 0.0])
+        if node.level < len(config.choices):
+            stat = node.amaf_stats.setdefault(config.choices[node.level], [0, 0.0])
             stat[0] += 1
             stat[1] += reward
 

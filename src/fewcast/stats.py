@@ -73,16 +73,9 @@ def a12(a, b) -> EffectSize:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average of ranks i+1..j+1
-        i = j + 1
-    return ranks
+    ordered = np.sort(values)
+    first, last = np.searchsorted(ordered, values, side="left"), np.searchsorted(ordered, values, side="right")
+    return 0.5 * (first + last - 1) + 1.0  # the mean of the tie's 1-based ranks first + 1 .. last
 
 
 def wilcoxon_signed_rank(a, b) -> TestOutcome:
@@ -113,15 +106,9 @@ def wilcoxon_signed_rank(a, b) -> TestOutcome:
     total = float(ranks.sum())
 
     if n <= EXACT_LIMIT:
-        hits = 0
-        for mask in range(1 << n):
-            wp = 0.0
-            for i in range(n):
-                if mask >> i & 1:
-                    wp += ranks[i]
-            if min(wp, total - wp) <= w:
-                hits += 1
-        p = hits / (1 << n)
+        # W+ of all 2^n sign assignments (bit i of row m: pair i positive); sums of <= 12 half-integers are exact
+        wp = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) @ ranks
+        p = int(np.count_nonzero(np.minimum(wp, total - wp) <= w)) / (1 << n)
     else:
         mean_w = n * (n + 1) / 4.0
         var_w = n * (n + 1) * (2 * n + 1) / 24.0
@@ -133,12 +120,11 @@ def wilcoxon_signed_rank(a, b) -> TestOutcome:
 
 
 def best_so_far(records) -> list[float]:
-    """Running minimum of test MSE over a trajectory.
+    """Running minimum of test MSE over a sequence of evaluation records.
 
     Failed evaluations carry the previous best forward; leading failures
     yield +inf until the first success.
     """
-    records = list(getattr(records, "records", records))
     if not records:
         raise ValueError("best_so_far of an empty trajectory is undefined")
     out = []

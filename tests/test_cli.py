@@ -160,6 +160,17 @@ def test_invalid_setting_is_usage_error_before_any_work(command, flags, data_dir
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--window=--", "--inner-lr=--", "--optimizer=--", "--out=--", "--config=--"])
+def test_double_dash_value_is_usage_error(flag, data_dir, tmp_path, capsys):
+    # Python 3.11's argparse reads "--flag=--" as an empty list instead of refusing it, and the list reached
+    # the commands: a TypeError traceback for "--window=--"
+    out = tmp_path / "x"
+    assert run("train", "--data", data_dir, "--family", "linear", "--seed", 1, "--out", out, flag) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") or (err.startswith("usage error: ") and err.count("\n") == 1)
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def short_target_dir(data_dir, tmp_path_factory):
     """The generated training tasks with a 19-value target: too short for 24 lags."""
@@ -167,7 +178,7 @@ def short_target_dir(data_dir, tmp_path_factory):
     for path in data_dir.glob("train_*.csv"):
         (out / path.name).write_bytes(path.read_bytes())
     (out / "target.csv").write_text(
-        csv_text([TimeSeries(task_id="short-target", kind="synthetic", values=np.linspace(0.0, 1.0, 19))]))
+        csv_text([TimeSeries(task_id="short-target", values=np.linspace(0.0, 1.0, 19))]))
     return out
 
 
@@ -216,7 +227,7 @@ class TestTrain:
         data = tmp_path / "only_target"
         data.mkdir()
         rng = np.random.default_rng(0)
-        target = TimeSeries(task_id="solo-target", kind="synthetic", values=rng.uniform(size=60))
+        target = TimeSeries(task_id="solo-target", values=rng.uniform(size=60))
         (data / "target.csv").write_text(csv_text([target]))
         out = tmp_path / "vanilla"
         assert run("train", "--data", data, "--family", "linear", "--vanilla",
@@ -277,8 +288,33 @@ class TestPredict:
         assert run("predict", "--checkpoint", checkpoint, "--data", data_dir, "--out", out) == 0
         target = load_csv(data_dir / "target.csv")[0]
         rows = (out / "forecast.csv").read_text().splitlines()[1:]
-        y_true = np.array([float(r.split(",")[1]) for r in rows])
-        assert np.allclose(y_true, target.values[-24:], atol=1e-12)
+        y_true = [float(r.split(",")[1]) for r in rows]
+        assert y_true == target.values[-24:].tolist()  # the target's own values, not a scaling round trip
+
+    @pytest.mark.parametrize("target_norm", ["trained", []], ids=["checkpoint-scaler", "no-checkpoint-scaler"])
+    def test_other_target_uses_one_scaler(self, tmp_path, target_norm):
+        # A checkpoint trained on one bundle, applied to another kind's target: the inputs are normalized and
+        # the forecast de-normalized by the same (lo, hi), the checkpoint's or else the target's own min/max.
+        from fewcast.data import build_bundle, denormalize, load_csv
+        from fewcast.learners import dump_params, forward, load_params
+
+        assert run("generate", "--seed", 1, "--hours", 60, "--out", tmp_path / "small") == 0
+        assert run("generate", "--kind", "load", "--seed", 5, "--out", tmp_path / "load") == 0
+        assert run("train", "--data", tmp_path / "small", "--family", "linear", "--seed", 1,
+                   "--out", tmp_path / "train", *FAST) == 0
+        spec, theta, extra = load_params(tmp_path / "train" / "seed_1" / "model.params")
+        if target_norm != "trained":
+            extra["target_norm"] = target_norm
+        (tmp_path / "model.params").write_bytes(dump_params(spec, theta, extra))
+        assert run("predict", "--checkpoint", tmp_path / "model.params", "--data", tmp_path / "load",
+                   "--out", tmp_path / "pred") == 0
+        rows = [r.split(",") for r in (tmp_path / "pred" / "forecast.csv").read_text().splitlines()[1:]]
+        target = load_csv(tmp_path / "load" / "target.csv")[0]
+        assert [float(r[1]) for r in rows] == target.values[-24:].tolist()
+        bundle = build_bundle([], target, 24, 24, target_norm=extra["target_norm"] or None)
+        assert bundle.target_norm == (tuple(extra["target_norm"]) or (target.values.min(), target.values.max()))
+        expected = denormalize(forward(spec, theta, bundle.test.X), bundle.target_norm)
+        assert [float(r[2]) for r in rows] == expected.tolist()
 
     def test_recursive_mode_runs(self, checkpoint, data_dir, tmp_path):
         out = tmp_path / "p3"
@@ -298,7 +334,7 @@ class TestPredict:
     def test_constant_zero_target_forecast_zero(self, tmp_path):
         data = tmp_path / "zero"
         data.mkdir()
-        target = TimeSeries(task_id="flat-target", kind="synthetic", values=np.zeros(40))
+        target = TimeSeries(task_id="flat-target", values=np.zeros(40))
         (data / "target.csv").write_text(csv_text([target]))
         train_out = tmp_path / "zero_train"
         assert run("train", "--data", data, "--family", "linear", "--vanilla",

@@ -38,14 +38,21 @@ FLAGS = sorted({flag for flags in OWN_FLAGS.values() for flag in flags} | SWITCH
 # Flags whose every huge value is refused before any work is done
 HUGE_OK = {"--seed", "--window", "--width", "--kappa", "--c-uct", "--grid-resolution", "--hours", "--tasks",
            "--horizon"}
-# Numbers around the bounds of the checks and of the 60-hour bundle (24 lags, 36 windows), then junk
-NUMBERS = ["-1", "0", "-0", "1", "2", "1.5", "1e-4", "0.5", "1e-300", "1e308", "-1e308", "nan", "inf", "-inf", "1e400",
-           "1_0", "٣", " 3", "23", "24", "35", "36", "59", "60", "61"]
+# Values of each flag type around the bounds of the checks and of the 60-hour bundle (24 lags, 36 windows),
+# then junk. Every other flag takes an integer, except the paths, which take junk.
+INTS = ["-1", "0", "1", "2", "3", "23", "24", "35", "36", "59", "60", "61", "1_0", "٣", " 3"]
+FLOATS = ["-1", "0", "-0", "1", "1.5", "1e-4", "0.01", "0.5", "0.7", "1e-300", "1e308", "-1e308", "nan", "inf", "-inf",
+          "1e400"]
+FLOAT_FLAGS = {"--kappa", "--c-uct", "--inner-lr", "--outer-lr", "--finetune-lr"}
+PATH_FLAGS = {"--data", "--checkpoint", "--config"}
+NUMBERS = INTS + [v for v in FLOATS if v not in INTS]
 JUNK = ["", "x", "0x10", "adam", "linear", "pv", "-", "--", "--seed", "é"]
+# Values of which two in one task once overflowed the float64 span that normalization divides by
+EXTREMES = ["1e308", "-1e308", "1e-300", "-1e-300", "9" * 25, "-" + "9" * 25, "9" * 400]
 NESTED = "[" * 100_000  # deeper than the JSON decoder's recursion limit
 CHOICES = {"--family": ["linear"], "--optimizer": ["sgd", "adam", "rmsprop", "adadelta", "adagrad"],
            "--kind": ["wind", "pv", "load", "synthetic"]}  # linear keeps every case cheap
-HUGE = ["9" * 25, "-" + "9" * 25, "1e300"]
+HUGE = ["9" * 25, "-" + "9" * 25]
 JSON_VALUES = [None, True, False, -1, 0, 1, 2, 1.5, 1e308, -1e308, 10**30, -(10**400), float("nan"), float("inf"),
                "", "x", "linear", "mlp", [], [0, 1], [1e308, -1e308], [10**400, 0], [True, 1], ["a", 1], [1, 2, 3], {}]
 PREFIX = {2: "usage error: ", 3: "data error: ", 4: "numeric failure: "}
@@ -73,25 +80,34 @@ def _commands(data, ckpt, results):
     ]
 
 
-def _value(rng, flag=None):
-    if rng.random() < 0.2:
+def _value(rng, flag):
+    """A value of the flag's own type, so that argparse lets it through to the command; junk one time in twenty."""
+    if rng.random() < 0.05 or flag in PATH_FLAGS:
         return rng.choice(JUNK)
     if flag in CHOICES:
         return rng.choice(CHOICES[flag])
-    return rng.choice(NUMBERS + HUGE if flag in HUGE_OK else NUMBERS)
+    values = FLOATS if flag in FLOAT_FLAGS else INTS
+    return rng.choice(values + HUGE if flag in HUGE_OK else values)
 
 
 def _mutate_argv(rng, argv):
-    """Mostly new values and added flags, which argparse lets through to the commands; sometimes a token
-    dropped or repeated."""
+    """Mostly a new value for a flag the command owns, in place or added (for compare, which has no such flag,
+    one more result directory or junk among them); sometimes any flag added (a switch or another command's
+    flag), or a token dropped or repeated."""
     argv = list(argv)
+    valued = [f for f in OWN_FLAGS[argv[0]] if f not in SWITCHES | PATH_FLAGS]
     for _ in range(rng.randint(1, 2)):
-        op, flags = rng.choices(range(4), weights=(5, 4, 1, 1))[0], [j for j, t in enumerate(argv) if t[:2] == "--"]
-        if op == 0 and flags:
-            j = rng.choice(flags)
-            argv[j + 1 : j + 2] = [_value(rng, argv[j])]
+        op = rng.choices(range(4), weights=(16, 1, 1, 1))[0]
+        if op == 0 and valued:
+            flag = rng.choice(valued)
+            value = _value(rng, flag)
+            tokens = [f"{flag}={value}"] if value[:1] == "-" else [flag, value]  # argparse reads "-inf" as a flag
+            j = argv.index(flag) if flag in argv else len(argv)
+            argv[j : j + 2] = tokens
+        elif op == 0:
+            argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(JUNK if rng.random() < 0.2 else argv[1:]))
         elif op == 1:
-            flag = rng.choice(OWN_FLAGS.get(argv[0], FLAGS) * 4 + FLAGS)
+            flag = rng.choice(FLAGS)
             argv += [flag] if flag in SWITCHES else [flag, _value(rng, flag)]
         elif op == 2 and len(argv) > 1:
             del argv[rng.randrange(1, len(argv))]
@@ -102,7 +118,7 @@ def _mutate_argv(rng, argv):
 
 def _mutate_text(rng, raw: bytes) -> bytes:
     lines = raw.split(b"\n")
-    op, i = rng.randrange(6), rng.randrange(len(lines))
+    op, i = rng.randrange(7), rng.randrange(len(lines))
     if op == 0:
         pos = rng.randrange(len(raw))
         return raw[:pos] + bytes([rng.randrange(256)]) + raw[pos + 1 :]
@@ -115,10 +131,14 @@ def _mutate_text(rng, raw: bytes) -> bytes:
     elif op == 4:  # a field of one or two lines
         for i in rng.sample(range(len(lines)), min(len(lines), rng.randint(1, 2))):
             fields = lines[i].split(b",")
-            fields[rng.randrange(len(fields))] = _value(rng, "--seed").encode()
+            fields[rng.randrange(len(fields))] = rng.choice(JUNK if rng.random() < 0.2 else NUMBERS + HUGE).encode()
             lines[i] = b",".join(fields)
-    else:
+    elif op == 5:
         lines[i] = b""
+    else:  # the last field of two rows, in a task CSV two values of its one task, set to extremes
+        rows = [j for j in range(1, len(lines)) if lines[j]]
+        for i in rng.sample(rows, min(len(rows), 2)):
+            lines[i] = b",".join(lines[i].split(b",")[:-1] + [rng.choice(EXTREMES).encode()])
     return b"\n".join(lines)
 
 

@@ -20,8 +20,8 @@ from fewcast.data import (
 )
 
 
-def series(values, task_id="t", kind="synthetic"):
-    return TimeSeries(task_id=task_id, kind=kind, values=np.asarray(values, dtype=np.float64))
+def series(values, task_id="t"):
+    return TimeSeries(task_id=task_id, values=np.asarray(values, dtype=np.float64))
 
 
 class TestGenerator:
@@ -68,12 +68,18 @@ class TestNormalize:
         out = normalize(series([2.0, 4.0, 6.0]))
         assert np.allclose(out.values, [0.0, 0.5, 1.0])
         assert out.norm == (2.0, 6.0)
-        assert not out.degenerate_scale
 
     def test_constant_series_degenerate(self):
         out = normalize(series([5.0, 5.0, 5.0]))
         assert np.all(out.values == 0.0)
-        assert out.degenerate_scale
+        assert out.norm == (5.0, 5.0)
+
+    def test_given_scaler_replaces_own_min_max(self):
+        out = normalize(series([2.0, 4.0, 6.0]), norm=[0, 8])
+        assert out.values.tolist() == [0.25, 0.5, 0.75]
+        assert out.norm == (0.0, 8.0) and all(type(v) is float for v in out.norm)
+        assert normalize(series([1.0, 3.0]), norm=[]).norm == (1.0, 3.0)  # empty: the series' own
+        assert np.all(normalize(series([1.0, 3.0]), norm=(2.0, 2.0)).values == 0.0)
 
     def test_round_trip_inverse(self):
         raw = series(np.random.default_rng(0).uniform(-3, 9, 50))
@@ -225,7 +231,6 @@ class TestCsv:
         assert len(back) == len(tasks)
         for orig, loaded in zip(tasks, back):
             assert loaded.task_id == orig.task_id
-            assert loaded.kind == orig.kind
             assert loaded.values.tobytes() == orig.values.tobytes()
 
 
@@ -242,6 +247,15 @@ class TestBundle:
         target = normalize(tasks[4])
         assert np.array_equal(test_ys, target.values[-24:])
         assert not val_ys & set(test_ys) or len(val_ys & set(test_ys)) < len(test_ys)
+
+    def test_target_norm_scales_the_target_only(self):
+        tasks = generate_synthetic_tasks("synthetic", 3, 168, seed=0)
+        own = build_bundle(tasks[:2], tasks[2], window=24, seed=0)
+        given = build_bundle(tasks[:2], tasks[2], window=24, seed=0, target_norm=(-1.0, 3.0))
+        assert own.target_norm == normalize(tasks[2]).norm and given.target_norm == (-1.0, 3.0)
+        assert np.array_equal(given.test.y, (tasks[2].values[-24:] + 1.0) / 4.0)
+        for a, b in zip(own.train_tasks, given.train_tasks):
+            assert np.array_equal(a.support.X, b.support.X) and np.array_equal(a.query.y, b.query.y)
 
     def test_arrays_read_only(self):
         tasks = generate_synthetic_tasks("synthetic", 5, 168, seed=0)

@@ -192,17 +192,17 @@ class TestProgressiveWidening:
     def test_amaf_prior_orders_expansion(self):
         space = build_search_space("linear", grid_resolution=4)
         node = TreeNode(level=1, option=0, visit_count=0)
-        # option 2 has the best all-moves-as-first mean at the next level
-        node.amaf_stats[(2, 0)] = [2, 0.4]
-        node.amaf_stats[(2, 2)] = [3, 2.7]
-        node.amaf_stats[(2, 3)] = [1, 0.5]
+        # option 2 has the best all-moves-as-first mean at the child level
+        node.amaf_stats[0] = [2, 0.4]
+        node.amaf_stats[2] = [3, 2.7]
+        node.amaf_stats[3] = [1, 0.5]
         child = maybe_expand(node, space, spawn(0))
         assert child.option == 2
 
     def test_amaf_unseen_rank_behind_seen(self):
         space = build_search_space("linear", grid_resolution=4)
         node = TreeNode(level=1, option=0, visit_count=0)
-        node.amaf_stats[(2, 1)] = [2, 1.0]
+        node.amaf_stats[1] = [2, 1.0]
         child = maybe_expand(node, space, spawn(0))
         assert child.option == 1
 
@@ -275,16 +275,16 @@ class TestBackpropagate:
         with pytest.raises(ValueError):
             backpropagate([root], float("nan"), config)
 
-    def test_amaf_updates_deeper_levels_only(self):
+    def test_amaf_updates_the_child_level_only(self):
         space = build_search_space("linear", grid_resolution=2)
-        root = TreeNode(level=0)
-        mid = TreeNode(level=2, option=1)
+        root, mid, leaf = TreeNode(level=0), TreeNode(level=2, option=1), TreeNode(level=5, option=3)
         config = config_from_choices(space, (0, 1, 0, 1, 3))
-        backpropagate([root, mid], 0.5, config)
-        assert root.amaf_stats[(1, 0)] == [1, 0.5]
-        assert root.amaf_stats[(5, 3)] == [1, 0.5]
-        assert (2, 1) not in mid.amaf_stats  # own level excluded
-        assert mid.amaf_stats[(3, 0)] == [1, 0.5]
+        backpropagate([root, mid, leaf], 0.5, config)
+        backpropagate([root, mid], 0.25, config_from_choices(space, (0, 1, 1, 1, 3)))
+        assert root.amaf_stats == {0: [2, 0.75]}  # the option config took at level 1
+        assert mid.amaf_stats == {0: [1, 0.5], 1: [1, 0.25]}  # level 3, not its own level 2 nor deeper ones
+        assert leaf.amaf_stats == {}  # the last level has no child level
+        assert leaf.visit_count == 1 and leaf.total_reward == 0.5
 
 
 class TestReward:

@@ -6,6 +6,9 @@ import pytest
 
 from fewcast.meta import EvaluationRecord, PipelineConfig
 from fewcast.stats import (
+    EXACT_LIMIT,
+    SIGNIFICANCE_LEVEL,
+    _average_ranks,
     a12,
     best_so_far,
     categorize_a12,
@@ -48,6 +51,59 @@ def enumeration_wilcoxon(a, b):
         if min(wp, total - wp) <= w:
             hits += 1
     return w, hits / 2.0**n
+
+
+def tie_scan_ranks(values):
+    """Average ranks by a scan over the stable sort order: the loop that ``_average_ranks`` replaced."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average of ranks i+1..j+1
+        i = j + 1
+    return ranks
+
+
+def bit_loop_wilcoxon(a, b):
+    """(statistic, p, significant, n_effective) as computed before the exact p became a matrix count:
+    the tie-scan ranks and a loop over the bits of every sign assignment."""
+    diffs = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    nonzero = diffs[diffs != 0.0]
+    n = nonzero.size
+    if n == 0:
+        return 0.0, 1.0, False, 0
+    ranks = tie_scan_ranks(np.abs(nonzero))
+    w = min(float(ranks[nonzero > 0].sum()), float(ranks[nonzero < 0].sum()))
+    total = float(ranks.sum())
+    if n <= EXACT_LIMIT:
+        hits = 0
+        for mask in range(1 << n):
+            wp = 0.0
+            for i in range(n):
+                if mask >> i & 1:
+                    wp += ranks[i]
+            if min(wp, total - wp) <= w:
+                hits += 1
+        p = hits / (1 << n)
+    else:
+        mean_w, var_w = n * (n + 1) / 4.0, n * (n + 1) * (2 * n + 1) / 24.0
+        _, counts = np.unique(np.abs(nonzero), return_counts=True)
+        var_w -= float(np.sum(counts.astype(np.float64) ** 3 - counts)) / 48.0
+        p = min(1.0, math.erfc(-((w - mean_w + 0.5) / math.sqrt(var_w)) / math.sqrt(2.0)))
+    return w, p, p < SIGNIFICANCE_LEVEL, n
+
+
+def paired_case(rng):
+    """n in 1..30 pairs: small integers (many ties and zero differences), differences rounded to one
+    decimal (tied magnitudes of both signs, some zeros), or continuous draws."""
+    n, style = int(rng.integers(1, 31)), int(rng.integers(3))
+    if style == 0:
+        return rng.integers(0, 6, size=n).astype(float), rng.integers(0, 6, size=n).astype(float)
+    a = rng.normal(size=n)
+    return a, (a + rng.normal(size=n).round(1) if style == 1 else rng.normal(size=n))
 
 
 def record(iteration, test_mse, status="ok"):
@@ -177,6 +233,32 @@ class TestWilcoxon:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0], [1.0, 2.0])
+
+
+class TestAgainstTheLoops:
+    """The numpy ranks and exact p keep the bits of the loops they replaced."""
+
+    CASES = 2000
+
+    def test_average_ranks_match_the_tie_scan(self):
+        rng = np.random.default_rng(2301)
+        for _ in range(self.CASES):
+            a, b = paired_case(rng)
+            values = np.abs(a - b)
+            assert _average_ranks(values).tobytes() == tie_scan_ranks(values).tobytes()
+
+    def test_wilcoxon_matches_the_bit_loop(self):
+        rng = np.random.default_rng(2302)
+        seen = set()
+        for _ in range(self.CASES):
+            a, b = paired_case(rng)
+            got = wilcoxon_signed_rank(a, b)
+            w, p, significant, n = bit_loop_wilcoxon(a, b)
+            assert (got.statistic.hex(), got.p_value.hex(), got.significant, got.n_effective) == (
+                w.hex(), p.hex(), significant, n), (a, b)
+            assert type(got.p_value) is float and type(got.significant) is bool  # a report must stay JSON
+            seen.add(0 if n == 0 else "exact" if n <= EXACT_LIMIT else "normal")
+        assert seen == {0, "exact", "normal"}
 
 
 class TestTrajectoryAnalytics:
