@@ -46,6 +46,7 @@ from .learners import (
     CheckpointError,
     FAMILIES,
     LearnerSpec,
+    NUMERIC_FAILURES,
     NumericError,
     OPTIMIZERS,
     dump_params,
@@ -55,7 +56,7 @@ from .learners import (
 )
 from .meta import MetaConfig, PipelineConfig, fine_tune_and_score, total_gradient_steps, train_pipeline
 from .rng import derive_seed
-from .search import WIDTH_OPTIONS, build_search_space, search
+from .search import DEFAULT_C_UCT, DEFAULT_GRID_RESOLUTION, DEFAULT_KAPPA, WIDTH_OPTIONS, build_search_space, search
 from .stats import compare_samples
 
 
@@ -264,17 +265,17 @@ def cmd_search(args) -> tuple[dict, dict]:
 
     def run_seed(seed, bundle):
         start = time.perf_counter()
-        best, trajectory = search(space, bundle, args.budget, seed, settings=settings)
+        trajectory = search(space, bundle, args.budget, seed, settings=settings)[1]
         total_ms = (time.perf_counter() - start) * 1000.0
         plot_rows = [f"{i},{v!r}" for i, v in enumerate(trajectory.best_so_far())]
         per_iter = [r.wall_time_ms for r in trajectory.records]
-        best_record = trajectory.best_record()
+        best = trajectory.best_record()
         summary = {
             "seed": seed,
             "budget": args.budget,
-            "best_config": best.to_dict() if best else None,
-            "best_test_mse": best_record.test_mse if best_record else None,
-            "best_val_mse": best_record.val_mse if best_record else None,
+            "best_config": best.config.to_dict() if best else None,
+            "best_test_mse": best.test_mse if best else None,
+            "best_val_mse": best.val_mse if best else None,
             "failed_evaluations": sum(1 for r in trajectory.records if r.status == "failed"),
             "total_wall_time_ms": total_ms,
         }
@@ -284,7 +285,7 @@ def cmd_search(args) -> tuple[dict, dict]:
             "plot.csv": _lines(["iteration,best_so_far_mse"] + plot_rows),
             "timings.json": json.dumps(timings) + "\n",
             "summary.json": _json(summary),
-        }, best_record.test_mse if best_record else math.inf
+        }, best.test_mse if best else math.inf
 
     files = _run_seeds(args, train_series, target, run_seed)
     return files, {"family": args.family, "budget": args.budget, "seeds": args.seed}
@@ -292,15 +293,18 @@ def cmd_search(args) -> tuple[dict, dict]:
 
 def cmd_train(args) -> tuple[dict, dict]:
     low, high = min(WIDTH_OPTIONS), max(WIDTH_OPTIONS)
-    if args.family != "linear" and not low <= args.width <= high:
-        raise UsageError(f"--width must lie in [{low}, {high}], got {args.width}")
+    if args.family == "linear" and args.width is not None:
+        raise UsageError("--width applies only to the mlp and recurrent families")
+    width = 1 if args.family == "linear" else 512 if args.width is None else args.width
+    if not (args.family == "linear" or low <= width <= high):
+        raise UsageError(f"--width must lie in [{low}, {high}], got {width}")
     if args.train_steps is not None and not args.vanilla:
         raise UsageError("--train-steps applies only with --vanilla")
     if args.train_steps is not None and args.train_steps < 1:
         raise UsageError(f"--train-steps must be >= 1, got {args.train_steps}")
     chosen = dict(inner_lr=args.inner_lr, outer_lr=args.outer_lr, finetune_lr=args.finetune_lr, optimizer=args.optimizer)
     settings = _meta_config(args, **chosen)
-    config = PipelineConfig(family=args.family, width=1 if args.family == "linear" else args.width, **chosen)
+    config = PipelineConfig(family=args.family, width=width, **chosen)
     train_series, target = _load_series_dir(Path(args.data), require_train=not args.vanilla)
 
     def run_seed(seed, bundle):
@@ -393,15 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     srch = sub.add_parser("search", help="MCTS over pipeline configurations")
     _add_run_flags(srch)
     srch.add_argument("--budget", type=int, default=100)
-    srch.add_argument("--grid-resolution", type=int, default=8)
-    srch.add_argument("--kappa", type=float, default=0.5)
-    srch.add_argument("--c-uct", type=float, default=1.0)
+    srch.add_argument("--grid-resolution", type=int, default=DEFAULT_GRID_RESOLUTION)
+    srch.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    srch.add_argument("--c-uct", type=float, default=DEFAULT_C_UCT)
     srch.add_argument("--search-shots", action="store_true", help="add shots as a sixth decision level")
     srch.set_defaults(func=cmd_search)
 
     trn = sub.add_parser("train", help="train one fixed pipeline (or a vanilla baseline)")
     _add_run_flags(trn)
-    trn.add_argument("--width", type=int, default=512)
+    trn.add_argument("--width", type=int, default=None, help="hidden width, mlp and recurrent only")
     trn.add_argument("--inner-lr", type=float, default=MetaConfig.inner_lr)
     trn.add_argument("--outer-lr", type=float, default=MetaConfig.outer_lr)
     trn.add_argument("--finetune-lr", type=float, default=MetaConfig.finetune_lr)
@@ -462,7 +466,7 @@ def main(argv=None) -> int:
     except (CsvError, EmptyInputError, CheckpointError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, FloatingPointError, OverflowError) as exc:
+    except NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

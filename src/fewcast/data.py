@@ -169,8 +169,6 @@ def _profile(kind: str, params: dict[str, float], hours: int, noise: np.ndarray)
 
 def generate_synthetic_tasks(kind: str, n_tasks: int, hours: int, seed: int) -> list[TimeSeries]:
     """Draw ``n_tasks`` hourly series from the shared per-kind family."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if n_tasks < 1:
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     if hours < 2:

@@ -51,6 +51,9 @@ class NumericError(ArithmeticError):
     """Non-finite values encountered during optimization."""
 
 
+NUMERIC_FAILURES = (NumericError, FloatingPointError, OverflowError)  # a reward-0 evaluation; exit 4 in the CLI
+
+
 class CheckpointError(ValueError):
     """Parameter file does not match the expected format or spec."""
 

@@ -17,11 +17,12 @@ iterations is the first ``r`` of any longer one. It draws the task picks
 (first ``n_pick`` of a stable argsort of ``random((B, n_tasks))``), then
 ``random((B, n_t))`` support keys per task in task order, then query keys
 alike. An episode takes the rows of a pool's ``shots`` smallest keys in
-ascending row order. One ``take`` per pool kind gathers each run of at most
-GATHER_BYTES. An iteration runs as one pass stacked over its tasks, or,
-when pools shorter than ``shots`` differ in length, as one single-task stack per
-task through the same pass; either way the per-task losses and gradients are
-added in task order, so a task's bits do not depend on its stack.
+ascending row order. When every episode of a pool kind has one row count, an
+iteration runs as one pass stacked over its tasks, and one ``take`` per pool
+kind gathers each run of at most GATHER_BYTES; when pools shorter than
+``shots`` differ in length, it runs as one single-task stack per task through
+the same pass, gathered one iteration at a time. Either way the per-task losses
+and gradients are added in task order, so a task's bits do not depend on its stack.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 from .data import DataBundle, TaskDataset, Windows
 from .learners import (
     LearnerSpec,
+    NUMERIC_FAILURES,
     NumericError,
     OPTIMIZERS,
     RESIDUALS_AND_GRADIENTS,
@@ -58,7 +60,7 @@ class MetaConfig:
     """Hyperparameters of one lower-level run, validated on construction.
 
     The learning rates and optimizer default to the fixed-default baseline;
-    a searched configuration replaces them (see ``_meta_config_for``).
+    a searched configuration replaces them (see ``train_pipeline``).
     ``tasks_per_iter=None`` uses every source task each iteration; ``shots``
     is the number of support and query rows each picked task draws per
     episode: those with the smallest uniform keys, in ascending row order (a
@@ -144,8 +146,6 @@ def inner_adapt(
     spec: LearnerSpec, theta: np.ndarray, support: Windows, inner_lr: float, steps: int = 1
 ) -> np.ndarray:
     """Task adaptation: plain gradient descent on the summed support loss."""
-    if not support:
-        raise ValueError("support set is empty")
     if inner_lr <= 0:
         raise ValueError(f"inner_lr must be positive, got {inner_lr}")
     if steps < 1:
@@ -201,8 +201,9 @@ def _meta_step(spec, theta, stacks, cfg, opt_state) -> tuple[np.ndarray, object,
 
 
 def _draw_block(tasks: list[TaskDataset], n_pick: int, shots: int, rng):
-    # yields a block's episodes, drawn in full as the module docstring says and gathered in runs of <= GATHER_BYTES,
-    # as _meta_step's stacks: one K-task stack if every episode of a pool kind has the same rows, else one per task
+    # yields a block's episodes, drawn in full as the module docstring says, as _meta_step's stacks: if every episode
+    # of each pool kind has one row count, one K-task stack per iteration, gathered in runs of <= GATHER_BYTES; else
+    # one one-task stack per picked task, gathered one iteration at a time
     picked = rng.random((EPISODE_BLOCK, len(tasks))).argsort(axis=1, kind="stable")[:, :n_pick]
     kinds = []
     for pools in ([task.support for task in tasks], [task.query for task in tasks]):
@@ -211,20 +212,18 @@ def _draw_block(tasks: list[TaskDataset], n_pick: int, shots: int, rng):
             keys = rng.random((EPISODE_BLOCK, len(pool)))  # a pool of at most ``shots`` rows gives all of them
             rows.append(start + np.sort(np.argpartition(keys, min(shots, len(pool)) - 1, axis=1)[:, :shots], axis=1))
         kinds.append((X, y, rows))
-    iteration_bytes = sum(n_pick * max(r.shape[1] for r in rows) * (X[:1].nbytes + y.itemsize) for X, y, rows in kinds)
+    if any(len({r.shape[1] for r in rows}) > 1 for _, _, rows in kinds):
+        for i, ts in enumerate(picked):
+            yield [tuple((X[rows[t][i]][None], y[rows[t][i]][None]) for X, y, rows in kinds) for t in ts]
+        return
+    iteration_bytes = sum(n_pick * rows[0].shape[1] * (X[:1].nbytes + y.itemsize) for X, y, rows in kinds)
     run = max(1, GATHER_BYTES // iteration_bytes)
     for first in range(0, EPISODE_BLOCK, run):
-        for support, query in zip(*(_gather(X, y, rows, picked, slice(first, first + run)) for X, y, rows in kinds)):
-            one_stack = isinstance(support[0], np.ndarray) and isinstance(query[0], np.ndarray)
-            yield [(support, query)] if one_stack else [
-                tuple((Xt[None], yt[None]) for Xt, yt in episode) for episode in zip(zip(*support), zip(*query))]
-
-
-def _gather(X, y, rows, picked, its):
-    if len({r.shape[1] for r in rows}) == 1:
-        index = np.take_along_axis(np.stack([r[its] for r in rows], axis=1), picked[its, :, None], axis=1)
-        return list(zip(X.take(index, axis=0), y.take(index, axis=0)))
-    return [([X[rows[t][i]] for t in ts], [y[rows[t][i]] for t in ts]) for i, ts in enumerate(picked[its], its.start)]
+        its, stacks = slice(first, first + run), []
+        for X, y, rows in kinds:
+            index = np.take_along_axis(np.stack([r[its] for r in rows], axis=1), picked[its, :, None], axis=1)
+            stacks.append(zip(X.take(index, axis=0), y.take(index, axis=0)))
+        yield from ([episode] for episode in zip(*stacks))
 
 
 def meta_train(
@@ -262,8 +261,6 @@ def fine_tune(
     optimizer: str = "sgd",
 ) -> np.ndarray:
     """A few optimizer steps on the mean squared validation loss."""
-    if not validation:
-        raise ValueError("validation set is empty")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     theta = theta_meta
@@ -296,17 +293,6 @@ def total_gradient_steps(cfg: MetaConfig, n_train_tasks: int) -> int:
     return cfg.meta_iterations * (n_pick * cfg.inner_steps + 1) + cfg.finetune_steps
 
 
-def _meta_config_for(config: PipelineConfig, settings: MetaConfig) -> MetaConfig:
-    return replace(
-        settings,
-        inner_lr=config.inner_lr,
-        outer_lr=config.outer_lr,
-        finetune_lr=config.finetune_lr,
-        optimizer=config.optimizer,
-        shots=config.shots if config.shots is not None else settings.shots,
-    )
-
-
 def train_pipeline(
     config: PipelineConfig,
     bundle: DataBundle,
@@ -319,7 +305,8 @@ def train_pipeline(
     propagate as exceptions; use :func:`evaluate_pipeline` to capture them.
     """
     spec = LearnerSpec(family=config.family, input_dim=bundle.window, width=config.width)
-    cfg = _meta_config_for(config, settings)
+    searched = {name: getattr(config, name) for name in ("inner_lr", "outer_lr", "finetune_lr", "optimizer")}
+    cfg = replace(settings, **searched, shots=settings.shots if config.shots is None else config.shots)
     with np.errstate(all="ignore"):
         theta_meta, curve = meta_train(spec, cfg, bundle.train_tasks, seed)
     theta_final, val_mse, test_mse = fine_tune_and_score(spec, theta_meta, bundle, cfg, cfg.finetune_steps)
@@ -340,7 +327,7 @@ def evaluate_pipeline(
     try:
         result, test_mse = train_pipeline(config, bundle, seed, settings)
         val_mse, status = result.val_mse, "ok"
-    except (NumericError, FloatingPointError, OverflowError):
+    except NUMERIC_FAILURES:
         val_mse, test_mse, status = None, None, "failed"
     wall_ms = (time.perf_counter() - start) * 1000.0
     return EvaluationRecord(

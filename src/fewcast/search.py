@@ -26,6 +26,7 @@ from .stats import best_so_far
 WIDTH_OPTIONS = (128, 256, 384, 512, 640, 768, 896, 1024)
 SHOT_OPTIONS = (1, 5, 10, 20)
 MAX_GRID_RESOLUTION = 1000  # ample (the paper uses 8); the grid is a tuple of floats, and 10**8 exhausted memory
+DEFAULT_GRID_RESOLUTION, DEFAULT_KAPPA, DEFAULT_C_UCT = 8, 0.5, 1.0
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class Level:
 class SearchSpace:
     family: str
     levels: tuple[Level, ...]
-    kappa: float = 0.5
-    c_uct: float = 1.0
+    kappa: float
+    c_uct: float
 
 
 def lr_grid(resolution: int) -> tuple[float, ...]:
@@ -51,9 +52,9 @@ def lr_grid(resolution: int) -> tuple[float, ...]:
 
 def build_search_space(
     family: str,
-    grid_resolution: int = 8,
-    kappa: float = 0.5,
-    c_uct: float = 1.0,
+    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
+    kappa: float = DEFAULT_KAPPA,
+    c_uct: float = DEFAULT_C_UCT,
     include_shots_level: bool = False,
 ) -> SearchSpace:
     """Assemble the decision levels for one learner family.
@@ -163,8 +164,6 @@ def maybe_expand(node: TreeNode, space: SearchSpace, rng) -> TreeNode | None:
 
 def rollout(prefix: tuple[int, ...], space: SearchSpace, rng) -> PipelineConfig:
     """Complete a partial decision tuple by uniform seeded sampling."""
-    if len(prefix) > len(space.levels):
-        raise ValueError(f"prefix of length {len(prefix)} exceeds the {len(space.levels)} levels")
     choices = list(prefix)
     for level in range(len(choices), len(space.levels)):
         choices.append(int(rng.integers(len(space.levels[level].options))))
@@ -187,9 +186,7 @@ def backpropagate(path: list[TreeNode], reward: float, config: PipelineConfig) -
 
 def reward_from_mse(mse: float | None) -> float:
     """Monotone map from error to a bounded reward: 1/(1+mse); failures get 0."""
-    if mse is None:
-        return 0.0
-    if math.isnan(mse):
+    if mse is None or math.isnan(mse):
         return 0.0
     if mse < 0:
         raise ValueError(f"mse must be non-negative, got {mse}")

@@ -150,6 +150,8 @@ class TestSearch:
         ("train", ["--seed", 1, 1]),
         ("search", ["--seed", 2, 3, 2]),
         ("train", ["--train-steps", 5, "--meta-iterations", 1]),
+        ("train", ["--width", 512]),
+        ("train", ["--vanilla", "--width", 128]),
     ],
 )
 def test_invalid_setting_is_usage_error_before_any_work(command, flags, data_dir, tmp_path, capsys):
@@ -222,6 +224,19 @@ class TestTrain:
     def test_out_of_range_width_usage_error(self, data_dir, tmp_path):
         assert run("train", "--data", data_dir, "--family", "mlp", "--width", 64,
                    "--seed", 1, "--out", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize("family", ["mlp", "recurrent"])
+    def test_width_defaults_to_512(self, family, data_dir, tmp_path):
+        out = tmp_path / family
+        assert run("train", "--data", data_dir, "--family", family, "--seed", 1, "--out", out,
+                   "--meta-iterations", 1) == 0
+        assert json.loads((out / "seed_1" / "result.json").read_text())["config"]["width"] == 512
+
+    def test_width_with_linear_usage_error(self, data_dir, tmp_path, capsys):
+        # the linear family has no hidden layer, so a width would be silently unused
+        assert run("train", "--data", data_dir, "--family", "linear", "--width", 256,
+                   "--seed", 1, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == "usage error: --width applies only to the mlp and recurrent families\n"
 
     def test_vanilla_ignores_train_tasks(self, tmp_path):
         data = tmp_path / "only_target"

@@ -176,12 +176,17 @@ def _case(kind, rng, inputs, work):
         path = work / "model.params"
         path.write_bytes(_mutate_checkpoint(rng, (ckpt / "model.params").read_bytes()))
         return rng.choice(_commands(str(data), str(path), str(results))[4:6])  # both predicts
-    if kind == "config":  # one key, most often a flag of the command itself
+    if kind == "config":
         path, argv = work / "run.json", rng.choice(_commands(str(data), str(ckpt), str(results)))
-        flag = rng.choice(OWN_FLAGS[argv[0]] * 6 + FLAGS + ["--nope"])
-        values = JSON_VALUES if flag in HUGE_OK else [v for v in JSON_VALUES if v != 10**30]
-        value = rng.choice(values) if rng.random() < 0.5 else _value(rng, flag)
-        path.write_text(NESTED if rng.random() < 0.1 else json.dumps({flag[2:].replace("-", "_"): value}))
+        own = [flag for flag in OWN_FLAGS[argv[0]] if flag != "--config"]
+        if rng.random() < 0.7:  # 1-3 flags of the command itself (compare has none), with values of their own types
+            flags = rng.sample(own, min(len(own), rng.randint(1, 3)))
+            values = {flag: rng.random() < 0.5 if flag in SWITCHES else _value(rng, flag) for flag in flags}
+            path.write_text(json.dumps({flag[2:].replace("-", "_"): value for flag, value in values.items()}))
+        else:  # one key, half the time the command's own, with a value of any JSON type; or a document nested too deeply
+            flag = rng.choice(own if own and rng.random() < 0.5 else FLAGS + ["--nope"])
+            value = rng.choice(JSON_VALUES if flag in HUGE_OK else [v for v in JSON_VALUES if v != 10**30])
+            path.write_text(NESTED if rng.random() < 0.3 else json.dumps({flag[2:].replace("-", "_"): value}))
         return [*argv, "--config", str(path)]
     (work / "run").mkdir()
     scores = (results / "scores.csv").read_bytes()

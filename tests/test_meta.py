@@ -431,7 +431,8 @@ class TestEpisodeDraw:
 
     @pytest.mark.parametrize("shots", [20, 500])
     def test_per_task_gather_runs_keep_the_bits(self, tmp_path, monkeypatch, shots):
-        # unequal pools run task by task; at 1 byte every run holds one iteration
+        # unequal pools run task by task, gathered one iteration at a time; GATHER_BYTES bounds only the runs of
+        # stacked episodes, so its 1-byte setting leaves this path as it is
         monkeypatch.setattr(meta, "GATHER_BYTES", 1)
         bundle, spec = unequal_bundle(tmp_path), LearnerSpec("linear", input_dim=24)
         cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer="adam", meta_iterations=5, tasks_per_iter=2, shots=shots)
@@ -441,17 +442,20 @@ class TestEpisodeDraw:
         assert curve == expected_curve
 
     def test_whole_pools_of_long_series_gather_in_bounded_runs(self):
-        # gathered as one block, four pools of 1581/395 windows used whole peaked at about 50 times the pools
+        # gathered as one block, four pools of 1581/395 windows used whole peaked at about 50 times the pools; the
+        # ragged case, series of 2000 to 1100 hours, runs task by task and gathers one iteration at a time
         series = generate_synthetic_tasks("synthetic", 5, 2000, seed=3)
-        tasks = build_bundle(series[:4], series[4], window=24, seed=3).train_tasks
-        pools = sum(task.support.X.nbytes + task.query.X.nbytes for task in tasks)
-        tracemalloc.start()
-        try:
-            meta_train(LearnerSpec("linear", input_dim=24), cfg_sgd(shots=5000, meta_iterations=2), tasks, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * pools
+        ragged = [replace(s, values=s.values[:hours]) for s, hours in zip(series, (2000, 1700, 1400, 1100))]
+        for train_series in (series[:4], ragged):
+            tasks = build_bundle(train_series, series[4], window=24, seed=3).train_tasks
+            pools = sum(task.support.X.nbytes + task.query.X.nbytes for task in tasks)
+            tracemalloc.start()
+            try:
+                meta_train(LearnerSpec("linear", input_dim=24), cfg_sgd(shots=5000, meta_iterations=2), tasks, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * pools
 
     @pytest.mark.parametrize("iterations, streams", [(0, 0), (1, 1), (50, 1), (51, 2), (130, 3)])
     def test_one_episode_stream_per_block(self, monkeypatch, iterations, streams):
