@@ -2,11 +2,11 @@
 
 Every command takes explicit seeds (no wall-clock defaults) and returns its
 files; only once it has succeeded does ``main`` write them to ``--out``, with
-a manifest recording the exact argument vector. Each file is written under a
-temporary name and renamed into place, so it appears whole or not at all.
-Deterministic artifacts (.csv / .jsonl) never contain wall-clock
-measurements; timing lives in JSON sidecars so repeated runs with the same
-arguments are byte-identical.
+a manifest recording the argument vector and every resolved option. Each
+file is written under a temporary name and renamed into place, so it appears
+whole or not at all. Deterministic artifacts (.csv / .jsonl) never contain
+wall-clock measurements; timing lives in JSON sidecars so repeated runs with
+the same arguments are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
@@ -40,7 +40,6 @@ from .data import (
     generate_synthetic_tasks,
     load_csv,
     read_text,
-    synthetic_task_params,
 )
 from .learners import (
     CheckpointError,
@@ -63,6 +62,10 @@ from .stats import compare_samples
 # glibc's mallopt parameters (malloc.h) and the size both are set to.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 KEEP_FREED_BYTES = 32 * 1024 * 1024
+
+
+# The lower bound of each integer flag, checked before any command runs.
+MINIMUMS = {"tasks": 0, "budget": 1, "window": 1, "horizon": 1, "train_steps": 1}
 
 
 class UsageError(ValueError):
@@ -185,8 +188,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def _meta_config(args, **chosen) -> MetaConfig:
     """The run's settings from the shared flags; ``chosen`` fixes the
     learning rates and optimizer where the command takes them as flags."""
-    if args.window < 1:
-        raise UsageError(f"--window must be >= 1, got {args.window}")
     with _usage_errors():
         return MetaConfig(**{name: getattr(args, name) for name in META_FLAGS}, **chosen)
 
@@ -231,27 +232,17 @@ def _read_scores(result_dir: Path) -> dict[int, float]:
     return out
 
 
-def cmd_generate(args) -> tuple[dict, dict]:
-    if args.tasks < 0:
-        raise UsageError(f"--tasks must be >= 0, got {args.tasks}")
+def cmd_generate(args) -> dict:
     with _usage_errors():
         series = generate_synthetic_tasks(args.kind, args.tasks + 1, args.hours, args.seed)
     train_series, target = series[: args.tasks], series[args.tasks]
     target = dataclasses.replace(target, task_id=f"{args.kind}-target")
     files = {f"train_{i:02d}.csv": csv_text([s]) for i, s in enumerate(train_series)}
     files["target.csv"] = csv_text([target])
-    params = {
-        s.task_id: synthetic_task_params(args.kind, i, args.seed)
-        for i, s in enumerate(train_series + [target])
-    }
-    return files, {
-        "kind": args.kind, "seed": args.seed, "hours": args.hours, "tasks": args.tasks, "generator_params": params
-    }
+    return files
 
 
-def cmd_search(args) -> tuple[dict, dict]:
-    if args.budget < 1:
-        raise UsageError(f"--budget must be >= 1, got {args.budget}")
+def cmd_search(args) -> dict:
     settings = _meta_config(args)
     with _usage_errors():
         space = build_search_space(
@@ -287,11 +278,10 @@ def cmd_search(args) -> tuple[dict, dict]:
             "summary.json": _json(summary),
         }, best.test_mse if best else math.inf
 
-    files = _run_seeds(args, train_series, target, run_seed)
-    return files, {"family": args.family, "budget": args.budget, "seeds": args.seed}
+    return _run_seeds(args, train_series, target, run_seed)
 
 
-def cmd_train(args) -> tuple[dict, dict]:
+def cmd_train(args) -> dict:
     low, high = min(WIDTH_OPTIONS), max(WIDTH_OPTIONS)
     if args.family == "linear" and args.width is not None:
         raise UsageError("--width applies only to the mlp and recurrent families")
@@ -300,8 +290,6 @@ def cmd_train(args) -> tuple[dict, dict]:
         raise UsageError(f"--width must lie in [{low}, {high}], got {width}")
     if args.train_steps is not None and not args.vanilla:
         raise UsageError("--train-steps applies only with --vanilla")
-    if args.train_steps is not None and args.train_steps < 1:
-        raise UsageError(f"--train-steps must be >= 1, got {args.train_steps}")
     chosen = dict(inner_lr=args.inner_lr, outer_lr=args.outer_lr, finetune_lr=args.finetune_lr, optimizer=args.optimizer)
     settings = _meta_config(args, **chosen)
     config = PipelineConfig(family=args.family, width=width, **chosen)
@@ -326,12 +314,10 @@ def cmd_train(args) -> tuple[dict, dict]:
         files["result.json"] = _json(result)
         return files, test_mse
 
-    return _run_seeds(args, train_series, target, run_seed), {"vanilla": args.vanilla, "seeds": args.seed}
+    return _run_seeds(args, train_series, target, run_seed)
 
 
-def cmd_predict(args) -> tuple[dict, dict]:
-    if args.horizon < 1:
-        raise UsageError(f"--horizon must be >= 1, got {args.horizon}")
+def cmd_predict(args) -> dict:
     checkpoint = Path(args.checkpoint)
     spec, theta, extra = load_params(checkpoint / "model.params" if checkpoint.is_dir() else checkpoint)
     _, target = _load_series_dir(Path(args.data), require_train=False)
@@ -352,21 +338,17 @@ def cmd_predict(args) -> tuple[dict, dict]:
         raise NumericError(f"forecast step {int(np.argmin(np.isfinite(y_pred)))} is not finite")
     y_true = target.values[-len(y_pred):]  # the target's own last values, which the test windows predict
     rows = [f"{i},{float(t)!r},{float(p)!r}" for i, (t, p) in enumerate(zip(y_true, y_pred))]
-    forecast = _lines(["step,y_true,y_pred"] + rows)
-    return {"forecast.csv": forecast}, {"horizon": len(y_pred), "recursive": args.recursive}
+    return {"forecast.csv": _lines(["step,y_true,y_pred"] + rows)}
 
 
-def cmd_compare(args) -> tuple[dict, dict]:
+def cmd_compare(args) -> dict:
     if len(args.results) < 2:
         raise UsageError("compare needs at least two result directories")
     scores = {d: _read_scores(Path(d)) for d in args.results}
-    seed_sets = {d: tuple(sorted(s)) for d, s in scores.items()}
-    reference = seed_sets[args.results[0]]
-    for d, seeds in seed_sets.items():
-        if seeds != reference:
-            raise CsvError(
-                f"seed sets differ: {args.results[0]} has {list(reference)}, {d} has {list(seeds)}"
-            )
+    reference = sorted(scores[args.results[0]])
+    for d, seeds in scores.items():
+        if sorted(seeds) != reference:
+            raise CsvError(f"seed sets differ: {args.results[0]} has {reference}, {d} has {sorted(seeds)}")
     pairs = []
     for i, dir_a in enumerate(args.results):
         for dir_b in args.results[i + 1 :]:
@@ -380,8 +362,7 @@ def cmd_compare(args) -> tuple[dict, dict]:
         name: 100.0 * categories.count(name) / len(categories)
         for name in ("large", "medium", "small", "equal", "below_half")
     }
-    report = {"pairs": pairs, "category_percentages": percentages}
-    return {"report.json": _json(report)}, {"results": [str(d) for d in args.results]}
+    return {"report.json": _json({"pairs": pairs, "category_percentages": percentages})}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,6 +420,9 @@ def _require_values(args) -> None:
         raise UsageError(f"--{empty[0].replace('_', '-')} needs a value")
     if isinstance(seed, list) and len(set(seed)) < len(seed):
         raise UsageError(f"--seed lists seed {next(s for s in seed if seed.count(s) > 1)} more than once")
+    for name, minimum in MINIMUMS.items():
+        if (value := getattr(args, name, None)) is not None and value < minimum:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {minimum}, got {value}")
 
 
 def main(argv=None) -> int:
@@ -450,9 +434,9 @@ def main(argv=None) -> int:
         if args.config:
             args = parser.parse_args(_config_argv(args, argv))
         _require_values(args)
-        files, manifest_extra = args.func(args)
-        manifest = {"artifact_version": __version__, "command": args.command, "argv": argv, **manifest_extra}
-        files["manifest.json"] = _json(manifest)
+        files = args.func(args)
+        options = {name: value for name, value in vars(args).items() if name != "func"}
+        files["manifest.json"] = _json({"artifact_version": __version__, "argv": argv, **options})
         for name, content in files.items():
             path = Path(args.out) / name
             path.parent.mkdir(parents=True, exist_ok=True)

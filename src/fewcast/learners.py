@@ -126,6 +126,12 @@ def _check_theta(spec, theta):
         raise ValueError(f"parameter vector has shape {theta.shape}; spec requires ({n_params(spec)},)")
 
 
+def _check_inputs(spec, theta, X):
+    _check_theta(spec, theta)
+    if X.ndim != 2 or X.shape[1] != spec.input_dim:
+        raise ValueError(f"inputs have shape {X.shape}; spec requires (n, {spec.input_dim})")
+
+
 # Every pass takes theta (p,) against X (n, w), or a task stack: theta (K, p),
 # or (1, p) broadcast, against X (K, n, w). Each task's matmul is then the one
 # a single task runs, so a stacked pass gives each task's bits unchanged.
@@ -188,9 +194,7 @@ _FORWARDS = {"linear": _forward_linear, "mlp": _forward_mlp, "recurrent": _forwa
 
 def forward(spec: LearnerSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Batched forecasts for X of shape (n, input_dim)."""
-    _check_theta(spec, theta)
-    if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise ValueError(f"inputs have shape {X.shape}; spec requires (n, {spec.input_dim})")
+    _check_inputs(spec, theta, X)
     return _FORWARDS[spec.family](spec, theta, X)
 
 
@@ -209,7 +213,7 @@ def value_and_grad(
 ) -> tuple[float, np.ndarray]:
     """:func:`loss` and :func:`gradient` together, from one forward pass."""
     X, y = pairs_to_arrays(data)
-    _check_theta(spec, theta)
+    _check_inputs(spec, theta, X)
     residuals, grad = RESIDUALS_AND_GRADIENTS[spec.family](spec, theta, X, y)
     return _squared_error(residuals, average), (grad / len(y) if average else grad)
 

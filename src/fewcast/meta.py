@@ -169,16 +169,19 @@ def outer_step(
     Also returns the meta-loss: the sum over tasks of the summed query loss
     at the adapted parameters."""
     _check_theta(spec, theta)
-    _check_tasks(tasks)
+    _check_tasks(spec, tasks)
     stacks = [((t.support.X[None], t.support.y[None]), (t.query.X[None], t.query.y[None])) for t in tasks]
     return _meta_step(spec, theta, stacks, cfg, opt_state)
 
 
-def _check_tasks(tasks: list[TaskDataset]) -> None:
+def _check_tasks(spec: LearnerSpec, tasks: list[TaskDataset]) -> None:
     if not tasks:
         raise ValueError("no training tasks")
     if not all(task.support and task.query for task in tasks):
         raise ValueError("every training task needs a non-empty support and query set")
+    widths = {pool.X.shape[1] for task in tasks for pool in (task.support, task.query)}
+    if widths != {spec.input_dim}:
+        raise ValueError(f"task windows have widths {sorted(widths)}; spec requires {spec.input_dim}")
 
 
 def _meta_step(spec, theta, stacks, cfg, opt_state) -> tuple[np.ndarray, object, float]:
@@ -235,7 +238,7 @@ def meta_train(
 ) -> tuple[np.ndarray, list[tuple[int, float]]]:
     """Episodic meta-training loop; returns the learned initialization and the
     per-iteration meta-loss curve. Deterministic per seed."""
-    _check_tasks(train_tasks)
+    _check_tasks(spec, train_tasks)
     n_tasks = len(train_tasks)
     n_pick = n_tasks if cfg.tasks_per_iter is None else cfg.tasks_per_iter
     if n_pick > n_tasks:

@@ -149,10 +149,7 @@ def compare_samples(errors_a, errors_b) -> dict:
     return {
         "mse_a": float(np.median(errors_a)),
         "mse_b": float(np.median(errors_b)),
-        "statistic": outcome.statistic,
-        "p_value": outcome.p_value,
-        "significant": outcome.significant,
-        "n_effective": outcome.n_effective,
+        **vars(outcome),
         "a12": effect.value,
         "category": effect.category,
     }

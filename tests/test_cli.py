@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import math
@@ -11,17 +12,25 @@ import numpy as np
 import pytest
 
 import fewcast
-from fewcast.cli import main
+from fewcast.cli import build_parser, main
 from fewcast.data import MAX_GENERATED_VALUES, csv_text, TimeSeries
 from fewcast.learners import NumericError
 from fewcast.search import MAX_GRID_RESOLUTION
 
 
 FAST = ["--meta-iterations", "5"]
+# The lower bound of each integer flag that the CLI checks itself, which fixes the message a value below it gets
+FLAG_MINIMUMS = {"--tasks": 0, "--budget": 1, "--window": 1, "--horizon": 1, "--train-steps": 1}
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def command_options(command):
+    """The dests of a command's own options: what its manifest records beside command, argv and artifact_version."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in subparsers.choices[command]._actions if action.dest != "help"}
 
 
 def run_child(*argv):
@@ -152,13 +161,22 @@ class TestSearch:
         ("train", ["--train-steps", 5, "--meta-iterations", 1]),
         ("train", ["--width", 512]),
         ("train", ["--vanilla", "--width", 128]),
+        ("generate", ["--tasks", -1]),
+        ("search", ["--budget", 0]),
+        ("search", ["--window", 0]),
+        ("predict", ["--horizon", 0]),
+        ("train", ["--train-steps", 0]),  # without --vanilla as well: the bound is reported first
     ],
 )
 def test_invalid_setting_is_usage_error_before_any_work(command, flags, data_dir, tmp_path, capsys):
     out = tmp_path / "x"
-    assert run(command, "--data", data_dir, "--family", "linear", "--seed", 1, "--out", out, *flags) == 2
+    argv = {"generate": ["--seed", 1], "predict": ["--checkpoint", tmp_path / "none.params", "--data", data_dir]}.get(
+        command, ["--data", data_dir, "--family", "linear", "--seed", 1])
+    assert run(command, *argv, "--out", out, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+    if flags[-2] in FLAG_MINIMUMS:
+        assert err == f"usage error: {flags[-2]} must be >= {FLAG_MINIMUMS[flags[-2]]}, got {flags[-1]}\n"
     assert not out.exists()
 
 
@@ -549,6 +567,8 @@ def test_each_command_writes_its_files_and_strict_json(data_dir, tmp_path):
         assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == expected
         for path in out.rglob("*.json"):
             json.loads(path.read_text(), parse_constant=reject)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest.keys() == command_options(argv[0]) | {"command", "argv", "artifact_version"}
 
 
 class TestConfigFile:
@@ -559,6 +579,16 @@ class TestConfigFile:
         assert run("generate", "--config", cfg, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 4 and manifest["tasks"] == 2 and manifest["hours"] == 80
+
+    def test_config_values_recorded_in_manifest(self, data_dir, tmp_path):
+        # the run directory alone reproduces the run, however the config file changes after it
+        settings = {"kappa": 0.7, "c_uct": 0.5, "grid_resolution": 3, "meta_iterations": 5}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": [1], "budget": 2, **settings}))
+        out = tmp_path / "s"
+        assert run("search", "--config", cfg, "--data", data_dir, "--family", "linear", "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {name: manifest[name] for name in settings} == settings
 
     def test_explicit_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "run.json"

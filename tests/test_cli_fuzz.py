@@ -12,6 +12,7 @@ value they can reach keeps a command cheap (linear learners, tiny budgets):
 huge numbers go only to flags that must reject them before any work.
 """
 
+import argparse
 import json
 import random
 import shutil
@@ -20,7 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fewcast.cli import main
+from fewcast.cli import build_parser, main
 
 CASES = {"argv": 140, "data": 60, "checkpoint": 60, "config": 20, "scores": 20}
 RUN_FLAGS = ["--data", "--family", "--seed", "--window", "--meta-iterations", "--shots", "--finetune-steps",
@@ -56,6 +57,8 @@ HUGE = ["9" * 25, "-" + "9" * 25]
 JSON_VALUES = [None, True, False, -1, 0, 1, 2, 1.5, 1e308, -1e308, 10**30, -(10**400), float("nan"), float("inf"),
                "", "x", "linear", "mlp", [], [0, 1], [1e308, -1e308], [10**400, 0], [True, 1], ["a", 1], [1, 2, 3], {}]
 PREFIX = {2: "usage error: ", 3: "data error: ", 4: "numeric failure: "}
+SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+OPTIONS = {command: {a.dest for a in p._actions if a.dest != "help"} for command, p in SUBPARSERS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +202,14 @@ def _finite_forecast(out):
     return not path.exists() or np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)).all()
 
 
+def _recorded(out, command, printed):
+    """Whether a run that exited 0 recorded every option of its command in its manifest, or printed help and
+    wrote nothing."""
+    if not out.exists():
+        return printed.startswith("usage: ")
+    return OPTIONS[command] <= json.loads((out / "manifest.json").read_text()).keys()
+
+
 @pytest.mark.parametrize("kind", CASES)
 def test_mutated_inputs_end_in_a_known_exit(kind, inputs, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # an empty path names this directory, never the checkout
@@ -219,8 +230,8 @@ def test_mutated_inputs_end_in_a_known_exit(kind, inputs, tmp_path, monkeypatch,
         err = captured.err + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
         if code not in (0, 2, 3, 4):
             failures.append(f"{kind}-{i} {argv}: exit {code}")
-        elif code == 0 and (caught or not _finite_forecast(out)):
-            failures.append(f"{kind}-{i} {argv}: exit 0 with {err!r}, or a non-finite forecast")
+        elif code == 0 and (caught or not _finite_forecast(out) or not _recorded(out, argv[0], captured.out)):
+            failures.append(f"{kind}-{i} {argv}: exit 0 with {err!r}, a non-finite forecast or an unrecorded option")
         elif code and not (code == 2 and err.startswith("usage: ")):
             if not err.startswith(PREFIX[code]) or err.count("\n") != 1 or out.exists():
                 failures.append(f"{kind}-{i} {argv}: exit {code} with {err!r}")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,15 @@ class TestGradient:
         value, grad = value_and_grad(spec, theta, data, average=average)
         assert value == loss(spec, theta, data, average=average)
         assert grad.tobytes() == gradient(spec, theta, data, average=average).tobytes()
+
+    @pytest.mark.parametrize("family,width", [("linear", 1), ("mlp", 6), ("recurrent", 5)])
+    def test_windows_of_another_width_rejected(self, family, width):
+        # as forward and loss reject them: a recurrent spec once took these (5, 7) windows silently
+        spec = LearnerSpec(family, input_dim=3, width=width)
+        theta, data = init_params(spec, seed=0), random_pairs(np.random.default_rng(0), 5, 7)
+        for call in (gradient, value_and_grad):
+            with pytest.raises(ValueError, match=re.escape("inputs have shape (5, 7); spec requires (n, 3)")):
+                call(spec, theta, data)
 
 
 def out_of_place_mlp(spec, theta, X, y):

@@ -301,6 +301,17 @@ class TestMetaTrain:
         with pytest.raises(ValueError):
             meta_train(LINEAR_1D, cfg_sgd(tasks_per_iter=2), [task], seed=0)
 
+    @pytest.mark.parametrize("family", ["linear", "mlp", "recurrent"])
+    def test_tasks_of_another_window_rejected(self, family):
+        # window-24 tasks against an input_dim-12 spec: a recurrent spec once meta-trained on them silently
+        tasks = synthetic_bundle()[0].train_tasks
+        spec = LearnerSpec(family, input_dim=12, width=8)
+        theta, message = init_params(spec, 0), re.escape("task windows have widths [24]; spec requires 12")
+        with pytest.raises(ValueError, match=message):
+            meta_train(spec, cfg_sgd(meta_iterations=1), tasks, seed=0)
+        with pytest.raises(ValueError, match=message):
+            outer_step(spec, theta, tasks, cfg_sgd(), init_optimizer("sgd", theta.size))
+
     @pytest.mark.parametrize("shape", [(216,), (1, 209)])
     def test_theta0_of_the_wrong_shape_rejected(self, shape):
         # as outer_step rejects it, before any pass broadcasts it against the task axis
