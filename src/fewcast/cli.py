@@ -53,7 +53,7 @@ from .learners import (
     init_params,
     load_params,
 )
-from .meta import MetaConfig, PipelineConfig, fine_tune_and_score, total_gradient_steps, train_pipeline
+from .meta import SEARCHED_FIELDS, MetaConfig, PipelineConfig, fine_tune_and_score, total_gradient_steps, train_pipeline
 from .rng import derive_seed
 from .search import DEFAULT_C_UCT, DEFAULT_GRID_RESOLUTION, DEFAULT_KAPPA, WIDTH_OPTIONS, build_search_space, search
 from .stats import compare_samples
@@ -64,8 +64,9 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 KEEP_FREED_BYTES = 32 * 1024 * 1024
 
 
-# The lower bound of each integer flag, checked before any command runs.
+# The lower bound of each integer flag, and the options a command that takes them cannot run without.
 MINIMUMS = {"tasks": 0, "budget": 1, "window": 1, "horizon": 1, "train_steps": 1}
+REQUIRED = ("data", "family", "checkpoint", "seed", "results", "out")
 
 
 class UsageError(ValueError):
@@ -132,12 +133,18 @@ def _config_argv(args, argv: list[str]) -> list[str]:
         raise UsageError(f"{args.config}: not valid UTF-8 JSON ({exc})") from None
     if not isinstance(overrides, dict):
         raise UsageError(f"{args.config}: expected a JSON object")
-    tokens = []
-    for key, value in overrides.items():
-        if not hasattr(args, key) or key in ("config", "func", "command"):
+    tokens, expected = [], {"command": args.command, "artifact_version": __version__}  # so a manifest is a config
+    for key, value in sorted(overrides.items(), key=lambda item: item[0] not in expected):  # bookkeeping first
+        if not (hasattr(args, key) or key in (*expected, "argv")) or key == "func":
             raise UsageError(f"{args.config}: unknown configuration key {key!r}")
+        if key in expected and value != expected[key]:
+            raise UsageError(f"{args.config}: {key} {value!r} does not match this run's {expected[key]!r}")
+        if key in (*expected, "argv", "config") or value is None:  # bookkeeping, or the flag's default
+            continue
         flag = f"--{key.replace('_', '-')}"
-        if isinstance(getattr(args, key), bool):  # an on/off switch
+        if key == "results":  # compare's positionals, which the command line's replace
+            tokens += [] if args.results else [*map(str, value if isinstance(value, list) else [value])]
+        elif isinstance(getattr(args, key), bool):  # an on/off switch
             if not isinstance(value, bool):
                 raise UsageError(f"{args.config}: {key!r} must be true or false, got {value!r}")
             tokens += [flag] if value else []
@@ -177,8 +184,8 @@ META_FLAGS = ("meta_iterations", "shots", "finetune_steps", "inner_steps")
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     """The flags of search and train: the data, family, seeds, window and fixed meta settings."""
-    p.add_argument("--data", required=True, help="directory produced by generate")
-    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--data", help="directory produced by generate")
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--seed", type=int, nargs="+", default=None)
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     for name in META_FLAGS:
@@ -290,7 +297,7 @@ def cmd_train(args) -> dict:
         raise UsageError(f"--width must lie in [{low}, {high}], got {width}")
     if args.train_steps is not None and not args.vanilla:
         raise UsageError("--train-steps applies only with --vanilla")
-    chosen = dict(inner_lr=args.inner_lr, outer_lr=args.outer_lr, finetune_lr=args.finetune_lr, optimizer=args.optimizer)
+    chosen = {name: getattr(args, name) for name in SEARCHED_FIELDS}
     settings = _meta_config(args, **chosen)
     config = PipelineConfig(family=args.family, width=width, **chosen)
     train_series, target = _load_series_dir(Path(args.data), require_train=not args.vanilla)
@@ -387,38 +394,37 @@ def build_parser() -> argparse.ArgumentParser:
     trn = sub.add_parser("train", help="train one fixed pipeline (or a vanilla baseline)")
     _add_run_flags(trn)
     trn.add_argument("--width", type=int, default=None, help="hidden width, mlp and recurrent only")
-    trn.add_argument("--inner-lr", type=float, default=MetaConfig.inner_lr)
-    trn.add_argument("--outer-lr", type=float, default=MetaConfig.outer_lr)
-    trn.add_argument("--finetune-lr", type=float, default=MetaConfig.finetune_lr)
+    for name in SEARCHED_FIELDS[:3]:  # the learning rates
+        trn.add_argument(f"--{name.replace('_', '-')}", type=float, default=getattr(MetaConfig, name))
     trn.add_argument("--optimizer", choices=OPTIMIZERS, default=MetaConfig.optimizer)
     trn.add_argument("--vanilla", action="store_true", help="skip meta-training; fit the validation slice only")
     trn.add_argument("--train-steps", type=int, default=None, help="vanilla step budget (default: match the meta run)")
     trn.set_defaults(func=cmd_train)
 
     prd = sub.add_parser("predict", help="emit one-step-ahead forecasts from a checkpoint")
-    prd.add_argument("--checkpoint", required=True, help=".params file or a train seed directory")
-    prd.add_argument("--data", required=True)
+    prd.add_argument("--checkpoint", help=".params file or a train seed directory")
+    prd.add_argument("--data")
     prd.add_argument("--horizon", type=int, default=24)
     prd.add_argument("--recursive", action="store_true", help="feed predictions back instead of true lags")
     prd.set_defaults(func=cmd_predict)
 
     cmp_ = sub.add_parser("compare", help="Wilcoxon + A12 report over result directories")
-    cmp_.add_argument("results", nargs="+", help="two or more train/search output directories")
+    cmp_.add_argument("results", nargs="*", help="two or more train/search output directories")
     cmp_.set_defaults(func=cmd_compare)
 
     for p in sub.choices.values():
-        p.add_argument("--out", required=True)
+        p.add_argument("--out")
         p.add_argument("--config", default=None, help="JSON file supplying defaults for any option")
     return parser
 
 
 def _require_values(args) -> None:
-    seed = getattr(args, "seed", "not-applicable")
-    if seed is None:
-        raise UsageError("--seed is required (on the command line or in --config)")
+    if missing := [name for name in REQUIRED if name in vars(args) and getattr(args, name) in (None, [])]:
+        named = "the result directories are" if missing[0] == "results" else f"--{missing[0]} is"
+        raise UsageError(f"{named} required (on the command line or in --config)")
     if empty := [name for name, value in vars(args).items() if value == []]:  # Python 3.11 parses "--flag=--" to []
         raise UsageError(f"--{empty[0].replace('_', '-')} needs a value")
-    if isinstance(seed, list) and len(set(seed)) < len(seed):
+    if isinstance(seed := getattr(args, "seed", None), list) and len(set(seed)) < len(seed):
         raise UsageError(f"--seed lists seed {next(s for s in seed if seed.count(s) > 1)} more than once")
     for name, minimum in MINIMUMS.items():
         if (value := getattr(args, name, None)) is not None and value < minimum:

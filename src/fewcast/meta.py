@@ -51,6 +51,7 @@ from .learners import (
 from .rng import derive_seed, spawn
 
 LR_MIN, LR_MAX = 1e-4, 0.5
+SEARCHED_FIELDS = ("inner_lr", "outer_lr", "finetune_lr", "optimizer")  # what a configuration sets: three rates first
 EPISODE_BLOCK = 50  # meta-iterations drawn at once, the default meta_iterations; part of the stream rule
 GATHER_BYTES = 1 << 20  # episode rows gathered at once, per block: a block at the default shots fits in one gather
 
@@ -79,7 +80,7 @@ class MetaConfig:
     inner_steps: int = 1
 
     def __post_init__(self):
-        for name in ("inner_lr", "outer_lr", "finetune_lr"):
+        for name in SEARCHED_FIELDS[:3]:
             value = getattr(self, name)
             if not LR_MIN <= value <= LR_MAX:
                 raise ValueError(f"{name} must lie in [{LR_MIN}, {LR_MAX}], got {value}")
@@ -308,7 +309,7 @@ def train_pipeline(
     propagate as exceptions; use :func:`evaluate_pipeline` to capture them.
     """
     spec = LearnerSpec(family=config.family, input_dim=bundle.window, width=config.width)
-    searched = {name: getattr(config, name) for name in ("inner_lr", "outer_lr", "finetune_lr", "optimizer")}
+    searched = {name: getattr(config, name) for name in SEARCHED_FIELDS}
     cfg = replace(settings, **searched, shots=settings.shots if config.shots is None else config.shots)
     with np.errstate(all="ignore"):
         theta_meta, curve = meta_train(spec, cfg, bundle.train_tasks, seed)

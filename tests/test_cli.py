@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fewcast
-from fewcast.cli import build_parser, main
+from fewcast.cli import REQUIRED, build_parser, main
 from fewcast.data import MAX_GENERATED_VALUES, csv_text, TimeSeries
 from fewcast.learners import NumericError
 from fewcast.search import MAX_GRID_RESOLUTION
@@ -25,6 +25,9 @@ FLAG_MINIMUMS = {"--tasks": 0, "--budget": 1, "--window": 1, "--horizon": 1, "--
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+SUBCOMMANDS = ("generate", "search", "train", "predict", "compare")
 
 
 def command_options(command):
@@ -187,8 +190,23 @@ def test_double_dash_value_is_usage_error(flag, data_dir, tmp_path, capsys):
     out = tmp_path / "x"
     assert run("train", "--data", data_dir, "--family", "linear", "--seed", 1, "--out", out, flag) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: ") or (err.startswith("usage error: ") and err.count("\n") == 1)
+    assert err.startswith("usage error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, missing", [(command, name) for command in SUBCOMMANDS for name in REQUIRED
+                                              if name in command_options(command)])
+def test_missing_required_option_prints_one_line_and_writes_nothing(command, missing, data_dir, checkpoint,
+                                                                     tmp_path, monkeypatch, capsys):
+    # each is checked once --config is merged, so a config may supply it; left out everywhere, it is one line
+    monkeypatch.chdir(tmp_path)
+    given = {"data": ["--data", data_dir], "family": ["--family", "linear"], "checkpoint": ["--checkpoint", checkpoint],
+             "seed": ["--seed", 1], "results": [data_dir, data_dir], "out": ["--out", "out"]}
+    assert run(command, *[token for name in REQUIRED if name in command_options(command) and name != missing
+                          for token in given[name]]) == 2
+    named = "the result directories are" if missing == "results" else f"--{missing} is"
+    assert capsys.readouterr().err == f"usage error: {named} required (on the command line or in --config)\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -580,6 +598,28 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 4 and manifest["tasks"] == 2 and manifest["hours"] == 80
 
+    def test_config_supplies_the_required_options(self, data_dir, tmp_path):
+        # the required options come from the config like any other
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": "linear", "data": str(data_dir), "seed": [1], "budget": 2}))
+        out = tmp_path / "s"
+        assert run("search", "--config", cfg, "--out", out, *FAST) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["family"], manifest["data"], manifest["seed"]) == ("linear", str(data_dir), [1])
+
+    @pytest.mark.parametrize("command, key, value", [("search", "command", "generate"),
+                                                     ("generate", "artifact_version", "0.0.0")])
+    def test_manifest_of_another_command_or_version_usage_error(self, command, key, value, tmp_path, capsys):
+        assert run("generate", "--seed", 2, "--tasks", 1, "--hours", 60, "--out", tmp_path / "gen") == 0
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads((tmp_path / "gen" / "manifest.json").read_text()), key: value}))
+        out = tmp_path / "x"
+        assert run(command, "--config", manifest, "--out", out) == 2
+        expected = {"command": command, "artifact_version": fewcast.__version__}[key]
+        assert capsys.readouterr().err == (
+            f"usage error: {manifest}: {key} {value!r} does not match this run's {expected!r}\n")
+        assert not out.exists()
+
     def test_config_values_recorded_in_manifest(self, data_dir, tmp_path):
         # the run directory alone reproduces the run, however the config file changes after it
         settings = {"kappa": 0.7, "c_uct": 0.5, "grid_resolution": 3, "meta_iterations": 5}
@@ -692,6 +732,19 @@ class TestCompare:
         self.make_scores(d1, [(1, 0.5), (2, 0.4)])
         self.make_scores(d2, [(1, 0.5), (3, 0.4)])
         assert run("compare", d1, d2, "--out", tmp_path / "x") == 3
+
+    def test_command_line_results_replace_a_manifest_results(self, tmp_path):
+        dirs = [tmp_path / name for name in "abc"]
+        for i, d in enumerate(dirs):
+            self.make_scores(d, [(1, 0.5 + i), (2, 0.4), (3, 0.3 * i)])
+        first = tmp_path / "first"
+        assert run("compare", dirs[0], dirs[1], "--out", first) == 0
+        assert run("compare", "--config", first / "manifest.json", "--out", tmp_path / "replay") == 0
+        assert (tmp_path / "replay" / "report.json").read_bytes() == (first / "report.json").read_bytes()
+        out = tmp_path / "other"
+        assert run("compare", "--config", first / "manifest.json", dirs[2], dirs[0], "--out", out) == 0
+        pairs = json.loads((out / "report.json").read_text())["pairs"]
+        assert [(pair["dir_a"], pair["dir_b"]) for pair in pairs] == [(str(dirs[2]), str(dirs[0]))]
 
     def test_single_directory_usage_error(self, tmp_path):
         d = tmp_path / "only"

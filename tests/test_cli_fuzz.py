@@ -5,7 +5,10 @@ one whose data, checkpoint, config or scores file has been mutated. Every
 case must end in a known exit code (0 success, 2 usage, 3 data, 4 numeric)
 without an escaping exception; a failure must print exactly one stderr line
 and write nothing. argparse's own usage text spans several lines and is
-exempt. A warning counts as a stderr line, since a console run prints it.
+exempt. A warning counts as a stderr line, since a console run prints it. A
+case of an even index that exits 0 and writes files must write them again,
+byte for byte, when rerun from ``--config`` of its own ``manifest.json``
+into a new ``--out``.
 
 The cases are drawn from ``random.Random`` with fixed seeds, and every valid
 value they can reach keeps a command cheap (linear learners, tiny budgets):
@@ -56,6 +59,7 @@ CHOICES = {"--family": ["linear"], "--optimizer": ["sgd", "adam", "rmsprop", "ad
 HUGE = ["9" * 25, "-" + "9" * 25]
 JSON_VALUES = [None, True, False, -1, 0, 1, 2, 1.5, 1e308, -1e308, 10**30, -(10**400), float("nan"), float("inf"),
                "", "x", "linear", "mlp", [], [0, 1], [1e308, -1e308], [10**400, 0], [True, 1], ["a", 1], [1, 2, 3], {}]
+RERUN_EVERY = 2  # the cases that rerun from their manifest: every other one, since a rerun doubles a case's cost
 PREFIX = {2: "usage error: ", 3: "data error: ", 4: "numeric failure: "}
 SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 OPTIONS = {command: {a.dest for a in p._actions if a.dest != "help"} for command, p in SUBPARSERS.items()}
@@ -210,6 +214,24 @@ def _recorded(out, command, printed):
     return OPTIONS[command] <= json.loads((out / "manifest.json").read_text()).keys()
 
 
+def _replayed(out):
+    """The files a run writes that hold no wall-clock time, by path."""
+    return {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
+            if path.suffix in (".csv", ".jsonl", ".params") or path.name in ("result.json", "report.json")}
+
+
+def _replay_fault(out, again, capsys):
+    """What goes wrong when the run in ``out`` reruns from its own manifest into ``again``: "" when nothing does."""
+    command = json.loads((out / "manifest.json").read_text())["command"]
+    code = main([command, "--config", str(out / "manifest.json"), "--out", str(again)])
+    err = capsys.readouterr().err
+    if code:
+        return f"exits {code} with {err!r}"
+    first, second = _replayed(out), _replayed(again)
+    differing = sorted(str(path) for path in first.keys() | second.keys() if first.get(path) != second.get(path))
+    return f"writes {differing} otherwise" if differing else ""
+
+
 @pytest.mark.parametrize("kind", CASES)
 def test_mutated_inputs_end_in_a_known_exit(kind, inputs, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # an empty path names this directory, never the checkout
@@ -232,6 +254,9 @@ def test_mutated_inputs_end_in_a_known_exit(kind, inputs, tmp_path, monkeypatch,
             failures.append(f"{kind}-{i} {argv}: exit {code}")
         elif code == 0 and (caught or not _finite_forecast(out) or not _recorded(out, argv[0], captured.out)):
             failures.append(f"{kind}-{i} {argv}: exit 0 with {err!r}, a non-finite forecast or an unrecorded option")
+        elif code == 0 and out.exists() and i % RERUN_EVERY == 0 and (
+                fault := _replay_fault(out, work / "again", capsys)):
+            failures.append(f"{kind}-{i} {argv}: the rerun from its manifest {fault}")
         elif code and not (code == 2 and err.startswith("usage: ")):
             if not err.startswith(PREFIX[code]) or err.count("\n") != 1 or out.exists():
                 failures.append(f"{kind}-{i} {argv}: exit {code} with {err!r}")
