@@ -28,12 +28,11 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    CsvError,
+    DEFAULT_HORIZON,
     DEFAULT_HOURS,
     DEFAULT_WINDOW,
-    EmptyInputError,
     KINDS,
-    ShortSeriesError,
+    DataError,
     build_bundle,
     csv_text,
     denormalize,
@@ -42,7 +41,6 @@ from .data import (
     read_text,
 )
 from .learners import (
-    CheckpointError,
     FAMILIES,
     LearnerSpec,
     NUMERIC_FAILURES,
@@ -71,6 +69,11 @@ REQUIRED = ("data", "family", "checkpoint", "seed", "results", "out")
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own errors, in subparsers too (parser_class defaults to this type)
+        raise UsageError(message)
 
 
 def _keep_freed_memory() -> None:
@@ -166,15 +169,15 @@ def _lines(rows: list[str]) -> str:
 def _load_series_dir(data_dir: Path, require_train: bool = True):
     target_path = data_dir / "target.csv"
     if not target_path.exists():
-        raise CsvError(f"{target_path}: missing target CSV")
+        raise DataError(f"{target_path}: missing target CSV")
     targets = load_csv(target_path)
     if len(targets) != 1:
-        raise CsvError(f"{target_path}: expected exactly one task, found {len(targets)}")
+        raise DataError(f"{target_path}: expected exactly one task, found {len(targets)}")
     train_series = []
     for path in sorted(data_dir.glob("train_*.csv")):
         train_series.extend(load_csv(path))
     if require_train and not train_series:
-        raise CsvError(f"{data_dir}: no train_*.csv files found")
+        raise DataError(f"{data_dir}: no train_*.csv files found")
     return train_series, targets[0]
 
 
@@ -218,10 +221,10 @@ def _run_seeds(args, train_series, target, run_seed) -> dict:
 def _read_scores(result_dir: Path) -> dict[int, float]:
     path = Path(result_dir) / "scores.csv"
     if not path.exists():
-        raise CsvError(f"{path}: missing scores.csv")
+        raise DataError(f"{path}: missing scores.csv")
     lines = read_text(path).splitlines()
     if not lines or lines[0] != "seed,test_mse":
-        raise CsvError(f"{path}: expected header 'seed,test_mse'")
+        raise DataError(f"{path}: expected header 'seed,test_mse'")
     out = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -230,11 +233,11 @@ def _read_scores(result_dir: Path) -> dict[int, float]:
             seed_text, mse_text = line.split(",")
             seed, mse = int(seed_text), float(mse_text)
         except ValueError:
-            raise CsvError(f"{path}:{lineno}: expected '<integer seed>,<mse>', got {line!r}") from None
+            raise DataError(f"{path}:{lineno}: expected '<integer seed>,<mse>', got {line!r}") from None
         if seed in out:
-            raise CsvError(f"{path}:{lineno}: duplicate seed {seed}")
+            raise DataError(f"{path}:{lineno}: duplicate seed {seed}")
         if not math.isfinite(mse):
-            raise CsvError(f"{path}:{lineno}: test_mse {mse_text!r} is not finite")
+            raise DataError(f"{path}:{lineno}: test_mse {mse_text!r} is not finite")
         out[seed] = mse
     return out
 
@@ -331,7 +334,7 @@ def cmd_predict(args) -> dict:
     with np.errstate(all="ignore"):  # a non-finite input or forecast is reported below, not warned about
         bundle = build_bundle([], target, spec.input_dim, args.horizon, seed=0, target_norm=extra.get("target_norm"))
         if len(bundle.test) < args.horizon:
-            raise ShortSeriesError(f"target holds {len(bundle.test)} forecast steps; --horizon asks for {args.horizon}")
+            raise DataError(f"target holds {len(bundle.test)} forecast steps; --horizon asks for {args.horizon}")
         X = bundle.test.X
         if args.recursive:  # each forecast becomes the newest lag of the next row
             y_pred, row = np.empty(len(X)), X[:1].copy()
@@ -355,7 +358,7 @@ def cmd_compare(args) -> dict:
     reference = sorted(scores[args.results[0]])
     for d, seeds in scores.items():
         if sorted(seeds) != reference:
-            raise CsvError(f"seed sets differ: {args.results[0]} has {reference}, {d} has {sorted(seeds)}")
+            raise DataError(f"seed sets differ: {args.results[0]} has {reference}, {d} has {sorted(seeds)}")
     pairs = []
     for i, dir_a in enumerate(args.results):
         for dir_b in args.results[i + 1 :]:
@@ -373,7 +376,7 @@ def cmd_compare(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fewcast", description=__doc__)
+    parser = _Parser(prog="fewcast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     gen = sub.add_parser("generate", help="write a synthetic multi-task bundle as CSVs")
     gen.add_argument("--kind", choices=KINDS, default="synthetic")
@@ -404,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     prd = sub.add_parser("predict", help="emit one-step-ahead forecasts from a checkpoint")
     prd.add_argument("--checkpoint", help=".params file or a train seed directory")
     prd.add_argument("--data")
-    prd.add_argument("--horizon", type=int, default=24)
+    prd.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     prd.add_argument("--recursive", action="store_true", help="feed predictions back instead of true lags")
     prd.set_defaults(func=cmd_predict)
 
@@ -448,12 +451,12 @@ def main(argv=None) -> int:
             path.parent.mkdir(parents=True, exist_ok=True)
             _write_whole(path, content.encode("utf-8") if isinstance(content, str) else content)
         return 0
-    except SystemExit as exc:  # argparse has printed its usage message
+    except SystemExit as exc:  # --help, which argparse has printed
         return int(exc.code or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (CsvError, EmptyInputError, CheckpointError, FileNotFoundError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NUMERIC_FAILURES as exc:

@@ -19,21 +19,14 @@ from .rng import derive_seed, spawn
 KINDS = ("wind", "pv", "load", "synthetic")
 DEFAULT_WINDOW = 24
 DEFAULT_HOURS = 168
+DEFAULT_HORIZON = 24  # trailing target windows: the test slice, and what predict forecasts
 MAX_GENERATED_VALUES = 10**6  # series x hours one generate call draws: 8 MB of float64 values
 SUPPORT_FRACTION = 0.8
 CSV_HEADER = "task_id,timestamp,value"
 
 
-class CsvError(ValueError):
-    """Malformed task CSV: bad header, bad field, or duplicate row."""
-
-
-class EmptyInputError(ValueError):
-    """A data source contained no rows."""
-
-
-class ShortSeriesError(EmptyInputError):
-    """A series holds too few values for the requested windows or slices."""
+class DataError(ValueError):
+    """An input file or series is unreadable, malformed or too short: exit 3 in the CLI."""
 
 
 @dataclass(frozen=True)
@@ -207,7 +200,7 @@ def make_windows(series: TimeSeries, window: int) -> Windows:
         raise ValueError(f"window must be >= 1, got {window}")
     n = series.values.size
     if n < window + 1:
-        raise ShortSeriesError(f"series {series.task_id!r} has {n} values; needs at least {window + 1}")
+        raise DataError(f"series {series.task_id!r} has {n} values; needs at least {window + 1}")
     values = series.values
     lags = np.lib.stride_tricks.sliding_window_view(values, window)[:-1].copy()
     return Windows(lags, values[window:].astype(np.float64))
@@ -217,7 +210,7 @@ def split_support_query(pairs: Windows, seed: int, task_id: str = "") -> TaskDat
     """Seeded uniform split with |support| = round(0.8 * n)."""
     n = len(pairs)
     if n < 2:
-        raise ShortSeriesError(f"need at least 2 pairs to split, got {n}")
+        raise DataError(f"need at least 2 pairs to split, got {n}")
     n_support = round(SUPPORT_FRACTION * n)
     order = spawn(seed, "support-query").permutation(n)
     support, query = np.sort(order[:n_support]), np.sort(order[n_support:])
@@ -240,7 +233,7 @@ def build_bundle(
     train_series: list[TimeSeries],
     target_series: TimeSeries,
     window: int = DEFAULT_WINDOW,
-    test_horizon: int = 24,
+    test_horizon: int = DEFAULT_HORIZON,
     seed: int = 0,
     target_norm: tuple[float, float] | None = None,
 ) -> DataBundle:
@@ -259,7 +252,7 @@ def build_bundle(
     target_pairs = make_windows(target, window)
     n = len(target_pairs)
     if n < 2:
-        raise ShortSeriesError("target series too short to carve validation and test slices")
+        raise DataError("target series too short to carve validation and test slices")
     n_test = min(test_horizon, n - 1)
     n_val = min(round(SUPPORT_FRACTION * n), n - n_test)
     tasks = []
@@ -285,54 +278,54 @@ def csv_text(series_list: list[TimeSeries]) -> str:
 
 
 def read_text(path) -> str:
-    """The file as UTF-8 text; undecodable bytes raise :class:`CsvError`."""
+    """The file as UTF-8 text; undecodable bytes raise :class:`DataError`."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise CsvError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def load_csv(path) -> list[TimeSeries]:
     """Parse a task CSV into one TimeSeries per task_id, ordered by timestamp.
 
-    Raises :class:`CsvError` naming the offending line, or
-    :class:`EmptyInputError` for a file with no content.
+    Raises :class:`DataError` naming the offending line, or the file when it
+    holds no data rows.
     """
     lines = read_text(path).splitlines()
     if not lines or not any(line.strip() for line in lines):
-        raise EmptyInputError(f"{path}: file is empty")
+        raise DataError(f"{path}: file is empty")
     if lines[0].strip() != CSV_HEADER:
-        raise CsvError(f"{path}:1: expected header {CSV_HEADER!r}, got {lines[0]!r}")
+        raise DataError(f"{path}:1: expected header {CSV_HEADER!r}, got {lines[0]!r}")
     rows: dict[str, dict[int, float]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
-            raise CsvError(f"{path}:{lineno}: expected 3 comma-separated fields, got {len(parts)}")
+            raise DataError(f"{path}:{lineno}: expected 3 comma-separated fields, got {len(parts)}")
         task_id, ts_text, value_text = parts
         try:
             ts = int(ts_text)
         except ValueError:
-            raise CsvError(f"{path}:{lineno}: timestamp {ts_text!r} is not an integer") from None
+            raise DataError(f"{path}:{lineno}: timestamp {ts_text!r} is not an integer") from None
         if ts < 0:
-            raise CsvError(f"{path}:{lineno}: timestamp must be non-negative, got {ts}")
+            raise DataError(f"{path}:{lineno}: timestamp must be non-negative, got {ts}")
         try:
             value = float(value_text)
         except ValueError:
-            raise CsvError(f"{path}:{lineno}: value {value_text!r} is not numeric") from None
+            raise DataError(f"{path}:{lineno}: value {value_text!r} is not numeric") from None
         if not math.isfinite(value):
-            raise CsvError(f"{path}:{lineno}: value {value_text!r} is not finite")
+            raise DataError(f"{path}:{lineno}: value {value_text!r} is not finite")
         per_task = rows.setdefault(task_id, {})
         if ts in per_task:
-            raise CsvError(f"{path}:{lineno}: duplicate (task_id, timestamp) = ({task_id}, {ts})")
+            raise DataError(f"{path}:{lineno}: duplicate (task_id, timestamp) = ({task_id}, {ts})")
         per_task[ts] = value
     if not rows:
-        raise EmptyInputError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     out = []
     for task_id, stamped in rows.items():
         if not math.isfinite(max(stamped.values()) - min(stamped.values())):  # normalize divides by this span
-            raise CsvError(f"{path}: the values of task {task_id!r} span more than a float64 can hold")
+            raise DataError(f"{path}: the values of task {task_id!r} span more than a float64 can hold")
         values = np.array([stamped[t] for t in sorted(stamped)], dtype=np.float64)
         out.append(TimeSeries(task_id=task_id, values=values))
     return out

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Windows, pairs_to_arrays
+from .data import DataError, Windows, pairs_to_arrays
 from .rng import spawn
 
 FAMILIES = ("linear", "mlp", "recurrent")
@@ -52,10 +52,6 @@ class NumericError(ArithmeticError):
 
 
 NUMERIC_FAILURES = (NumericError, FloatingPointError, OverflowError)  # a reward-0 evaluation; exit 4 in the CLI
-
-
-class CheckpointError(ValueError):
-    """Parameter file does not match the expected format or spec."""
 
 
 @dataclass(frozen=True)
@@ -410,45 +406,41 @@ def load_params(path) -> tuple[LearnerSpec, np.ndarray, dict]:
     raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
     if newline < 0:
-        raise CheckpointError(f"{path}: missing header line")
+        raise DataError(f"{path}: missing header line")
     try:
         header = json.loads(raw[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # the last for deeply nested arrays
-        raise CheckpointError(f"{path}: unreadable header ({exc})") from None
+        raise DataError(f"{path}: unreadable header ({exc})") from None
     if not isinstance(header, dict) or not isinstance(header.get("extra", {}), dict):
-        raise CheckpointError(f"{path}: header or its 'extra' field is not a JSON object")
+        raise DataError(f"{path}: header or its 'extra' field is not a JSON object")
     if header.get("format_version") != PARAMS_FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format_version {header.get('format_version')!r} != {PARAMS_FORMAT_VERSION}"
-        )
+        raise DataError(f"{path}: format_version {header.get('format_version')!r} != {PARAMS_FORMAT_VERSION}")
     try:
         family, input_dim, width, declared = (header[key] for key in ("family", "input_dim", "width", "n_params"))
     except KeyError as exc:
-        raise CheckpointError(f"{path}: header lacks {exc}") from None
+        raise DataError(f"{path}: header lacks {exc}") from None
     if not all(type(value) is int for value in (input_dim, width, declared)):
-        raise CheckpointError(f"{path}: input_dim, width and n_params must be integers")
+        raise DataError(f"{path}: input_dim, width and n_params must be integers")
     try:
         spec = LearnerSpec(family=family, input_dim=input_dim, width=width)
     except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
     payload = raw[newline + 1 :]
     if len(payload) % 8:
-        raise CheckpointError(f"{path}: payload of {len(payload)} bytes is not a whole number of float64 values")
+        raise DataError(f"{path}: payload of {len(payload)} bytes is not a whole number of float64 values")
     theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if theta.size != declared or theta.size != n_params(spec):
-        raise CheckpointError(
-            f"{path}: payload holds {theta.size} values; header/spec require {n_params(spec)}"
-        )
+        raise DataError(f"{path}: payload holds {theta.size} values; header/spec require {n_params(spec)}")
     if not np.isfinite(theta).all():
-        raise CheckpointError(f"{path}: parameter {int(np.flatnonzero(~np.isfinite(theta))[0])} is not finite")
+        raise DataError(f"{path}: parameter {int(np.flatnonzero(~np.isfinite(theta))[0])} is not finite")
     extra = header.get("extra", {})
     window = extra.get("window", input_dim)
     if type(window) is not int or window != input_dim:
-        raise CheckpointError(f"{path}: window {window!r} does not match input_dim {input_dim}")
+        raise DataError(f"{path}: window {window!r} does not match input_dim {input_dim}")
     norm = extra.get("target_norm")  # null or []: predict scales by the target's own min/max
     if norm not in (None, []) and not (
         isinstance(norm, list) and len(norm) == 2
         and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in norm)  # exact, even for a huge int
     ):
-        raise CheckpointError(f"{path}: target_norm {norm!r} is neither null nor two finite numbers")
+        raise DataError(f"{path}: target_norm {norm!r} is neither null nor two finite numbers")
     return spec, theta, extra

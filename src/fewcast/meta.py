@@ -322,7 +322,6 @@ def evaluate_pipeline(
     bundle: DataBundle,
     seed: int,
     settings: MetaConfig = MetaConfig(),
-    iteration: int = -1,
 ) -> EvaluationRecord:
     """Evaluate one configuration end to end; numeric divergence becomes a
     reward-0 record rather than an exception so the upper-level search
@@ -335,7 +334,7 @@ def evaluate_pipeline(
         val_mse, test_mse, status = None, None, "failed"
     wall_ms = (time.perf_counter() - start) * 1000.0
     return EvaluationRecord(
-        iteration=iteration,
+        iteration=-1,  # the search loop sets its own
         config=config,
         val_mse=val_mse,
         test_mse=test_mse,

@@ -209,6 +209,35 @@ def test_missing_required_option_prints_one_line_and_writes_nothing(command, mis
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [[], ["search", "--bogus"], ["search", "--budget", "many"], ["train", "--family", "cnn"],
+                                  ["search", "--seed"], ["generate", "--seed", "1", "extra"]])
+def test_argparse_error_prints_one_usage_line_and_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    # argparse's own errors take the one-line path of every other usage error; no subcommand is one of them
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, *(["--out", "out"] if argv else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    if argv[-1:] == ["many"]:
+        assert err == "usage error: argument --budget: invalid int value: 'many'\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_value_argparse_refuses_is_one_usage_line(data_dir, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"optimizer": [True, 1]}))
+    out = tmp_path / "out"
+    assert run("train", "--data", data_dir, "--family", "linear", "--seed", 1, "--config", config, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    assert run("--help") == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: fewcast") and captured.err == ""
+
+
 @pytest.fixture(scope="module")
 def short_target_dir(data_dir, tmp_path_factory):
     """The generated training tasks with a 19-value target: too short for 24 lags."""
@@ -677,11 +706,13 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "overrides", [{"budget": "many"}, {"budget": 2.5}, {"family": "cnn"}, {"search_shots": "yes"}]
     )
-    def test_mistyped_value_usage_error(self, overrides, data_dir, tmp_path):
+    def test_mistyped_value_usage_error(self, overrides, data_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"seed": 1, **overrides}))
         assert run("search", "--config", cfg, "--data", data_dir, "--family", "linear",
                    "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
     def test_unknown_key_usage_error(self, tmp_path):

@@ -4,11 +4,10 @@ Each case calls ``main`` in process on a mutated command line, or on a valid
 one whose data, checkpoint, config or scores file has been mutated. Every
 case must end in a known exit code (0 success, 2 usage, 3 data, 4 numeric)
 without an escaping exception; a failure must print exactly one stderr line
-and write nothing. argparse's own usage text spans several lines and is
-exempt. A warning counts as a stderr line, since a console run prints it. A
-case of an even index that exits 0 and writes files must write them again,
-byte for byte, when rerun from ``--config`` of its own ``manifest.json``
-into a new ``--out``.
+and write nothing. A warning counts as a stderr line, since a console run
+prints it. A case of an even index that exits 0 and writes files must write
+them again, byte for byte, when rerun from ``--config`` of its own
+``manifest.json`` into a new ``--out``.
 
 The cases are drawn from ``random.Random`` with fixed seeds, and every valid
 value they can reach keeps a command cheap (linear learners, tiny budgets):
@@ -257,7 +256,7 @@ def test_mutated_inputs_end_in_a_known_exit(kind, inputs, tmp_path, monkeypatch,
         elif code == 0 and out.exists() and i % RERUN_EVERY == 0 and (
                 fault := _replay_fault(out, work / "again", capsys)):
             failures.append(f"{kind}-{i} {argv}: the rerun from its manifest {fault}")
-        elif code and not (code == 2 and err.startswith("usage: ")):
+        elif code:
             if not err.startswith(PREFIX[code]) or err.count("\n") != 1 or out.exists():
                 failures.append(f"{kind}-{i} {argv}: exit {code} with {err!r}")
     assert not failures, "\n".join(failures)

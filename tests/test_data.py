@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fewcast.data import (
-    CsvError,
-    EmptyInputError,
+    DataError,
     TimeSeries,
     WindowPair,
     Windows,
@@ -189,32 +188,32 @@ class TestCsv:
     def test_bad_value_names_line(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("task_id,timestamp,value\nA,0,1.0\nA,1,abc\n")
-        with pytest.raises(CsvError, match=":3:"):
+        with pytest.raises(DataError, match=":3:"):
             load_csv(path)
 
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("task_id,timestamp,value\nA,0,1.0\nA,0,2.0\n")
-        with pytest.raises(CsvError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate"):
             load_csv(path)
 
     def test_span_beyond_float64_rejected(self, tmp_path):
         # each value is finite, but max - min, which normalize divides by, is not
         path = tmp_path / "span.csv"
         path.write_text("task_id,timestamp,value\nA,0,-1e308\nA,1,1e308\nB,0,1e308\n")
-        with pytest.raises(CsvError, match="'A' span more than a float64"):
+        with pytest.raises(DataError, match="'A' span more than a float64"):
             load_csv(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("A,0,1.0\n")
-        with pytest.raises(CsvError, match="header"):
+        with pytest.raises(DataError, match="header"):
             load_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("")
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError):
             load_csv(path)
 
     def test_rows_ordered_by_timestamp(self, tmp_path):

@@ -2,10 +2,12 @@
 
 No module but ``__init__`` may keep an import it never uses, or a
 module-level private function that no code in the package refers to: the
-orphans a deletion tends to leave behind.
+orphans a deletion tends to leave behind. The package defines one exception
+class per exit code of the CLI.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,15 @@ def test_no_uncalled_private_function(module):
             if not any(node.name in references(tree, skip=node) for tree in MODULES.values()):
                 orphans.append(f"{node.name} (line {node.lineno})")
     assert orphans == []
+
+
+def test_one_exception_class_per_exit_code():
+    # 2 usage, 3 data, 4 numeric: a further type would be a second name for one of them
+    bases = {node.name: {ast.unparse(base).split(".")[-1] for base in node.bases}
+             for tree in MODULES.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    exceptions = set()
+    while derived := {name for name, names in bases.items() if name not in exceptions and any(
+            base in exceptions or isinstance(getattr(builtins, base, None), type)
+            and issubclass(getattr(builtins, base), BaseException) for base in names)}:
+        exceptions |= derived
+    assert sorted(exceptions) == ["DataError", "NumericError", "UsageError"]

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fewcast import learners
-from fewcast.data import WindowPair
+from fewcast.data import DataError, WindowPair
 from fewcast.learners import (
-    CheckpointError,
     LearnerSpec,
     NumericError,
     OPTIMIZERS,
@@ -482,7 +481,7 @@ class TestSerialization:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.params"
         path.write_bytes(b'{"format_version": 999}\n' + b"\x00" * 8)
-        with pytest.raises(CheckpointError, match="format_version"):
+        with pytest.raises(DataError, match="format_version"):
             load_params(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -491,7 +490,7 @@ class TestSerialization:
         path.write_bytes(dump_params(spec, init_params(spec, seed=0)))
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(DataError):
             load_params(path)
 
     @pytest.mark.parametrize(
@@ -510,7 +509,7 @@ class TestSerialization:
         spec = LearnerSpec("linear", input_dim=3)
         path = tmp_path / "model.params"
         path.write_bytes(dump_params(spec, init_params(spec, seed=0), extra=extra))
-        with pytest.raises(CheckpointError, match=message):
+        with pytest.raises(DataError, match=message):
             load_params(path)
 
     @pytest.mark.parametrize("extra", [{}, {"window": 3, "target_norm": []}, {"target_norm": None},
@@ -528,13 +527,13 @@ class TestSerialization:
         theta[5] = value
         path = tmp_path / "model.params"
         path.write_bytes(dump_params(spec, theta))
-        with pytest.raises(CheckpointError, match="parameter 5 is not finite"):
+        with pytest.raises(DataError, match="parameter 5 is not finite"):
             load_params(path)
 
     def test_deeply_nested_header_rejected(self, tmp_path):
         path = tmp_path / "deep.params"
         path.write_bytes(b"[" * 100_000 + b"\n")
-        with pytest.raises(CheckpointError, match="unreadable header"):
+        with pytest.raises(DataError, match="unreadable header"):
             load_params(path)
 
     def test_forward_batch_matches_single_rows(self):

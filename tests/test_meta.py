@@ -563,7 +563,7 @@ class TestSerialization:
         bundle, _ = synthetic_bundle()
         for lr, status in ((0.001, "ok"), (0.5, "failed")):  # 0.5 diverges within 50 meta-iterations
             config = PipelineConfig("linear", 1, lr, lr, lr, "sgd", shots=5, choices=(1, 2, 3))
-            record = evaluate_pipeline(config, bundle, seed=1, iteration=3)
+            record = evaluate_pipeline(config, bundle, seed=1)
             assert record.status == status
             assert record.to_json() == asdict_record_json(record)
 
