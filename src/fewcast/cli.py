@@ -38,7 +38,7 @@ from .data import (
     denormalize,
     generate_synthetic_tasks,
     load_csv,
-    read_text,
+    read_rows,
 )
 from .learners import (
     FAMILIES,
@@ -65,6 +65,7 @@ KEEP_FREED_BYTES = 32 * 1024 * 1024
 # The lower bound of each integer flag, and the options a command that takes them cannot run without.
 MINIMUMS = {"tasks": 0, "budget": 1, "window": 1, "horizon": 1, "train_steps": 1}
 REQUIRED = ("data", "family", "checkpoint", "seed", "results", "out")
+SCORES_HEADER = "seed,test_mse"
 
 
 class UsageError(ValueError):
@@ -168,8 +169,6 @@ def _lines(rows: list[str]) -> str:
 
 def _load_series_dir(data_dir: Path, require_train: bool = True):
     target_path = data_dir / "target.csv"
-    if not target_path.exists():
-        raise DataError(f"{target_path}: missing target CSV")
     targets = load_csv(target_path)
     if len(targets) != 1:
         raise DataError(f"{target_path}: expected exactly one task, found {len(targets)}")
@@ -208,7 +207,7 @@ def _run_seeds(args, train_series, target, run_seed) -> dict:
     ``run_seed(seed, bundle)`` returns one seed's ``{name: content}`` map,
     which goes under ``seed_<n>/``, and its test MSE.
     """
-    files, scores = {}, ["seed,test_mse"]
+    files, scores = {}, [SCORES_HEADER]
     for seed in args.seed:
         bundle = build_bundle(train_series, target, window=args.window, seed=seed)
         seed_files, test_mse = run_seed(seed, bundle)
@@ -219,21 +218,12 @@ def _run_seeds(args, train_series, target, run_seed) -> dict:
 
 
 def _read_scores(result_dir: Path) -> dict[int, float]:
-    path = Path(result_dir) / "scores.csv"
-    if not path.exists():
-        raise DataError(f"{path}: missing scores.csv")
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != "seed,test_mse":
-        raise DataError(f"{path}: expected header 'seed,test_mse'")
-    out = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    path, out = Path(result_dir) / "scores.csv", {}
+    for lineno, (seed_text, mse_text) in read_rows(path, SCORES_HEADER):
         try:
-            seed_text, mse_text = line.split(",")
             seed, mse = int(seed_text), float(mse_text)
         except ValueError:
-            raise DataError(f"{path}:{lineno}: expected '<integer seed>,<mse>', got {line!r}") from None
+            raise DataError(f"{path}:{lineno}: expected '<integer seed>,<mse>', got '{seed_text},{mse_text}'") from None
         if seed in out:
             raise DataError(f"{path}:{lineno}: duplicate seed {seed}")
         if not math.isfinite(mse):

@@ -140,20 +140,14 @@ def synthetic_task_params(kind: str, task_index: int, seed: int) -> dict[str, fl
     return {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in ranges.items()}
 
 
-def daily_phase_component(params: dict[str, float], hours: int) -> np.ndarray:
-    """sin(2*pi*(t - phase)/24) for t = 0..hours-1; the pv day mask is (this > 0)."""
-    t = np.arange(hours, dtype=np.float64)
-    return np.sin(2.0 * np.pi * (t - params["phase"]) / 24.0)
-
-
 def _profile(kind: str, params: dict[str, float], hours: int, noise: np.ndarray) -> np.ndarray:
-    daily = daily_phase_component(params, hours)
+    t = np.arange(hours, dtype=np.float64)
+    daily = np.sin(2.0 * np.pi * (t - params["phase"]) / 24.0)
     if kind == "pv":
         # Day-masked bump: night hours are exactly zero (offset is 0, noise gated).
         mask = (daily > 0.0).astype(np.float64)
         bump = params["amp"] * np.maximum(0.0, daily) ** params["shape"]
         return mask * (bump + noise)
-    t = np.arange(hours, dtype=np.float64)
     m = params["shape"]
     second = np.sin(4.0 * np.pi * (t - params["phase"]) / 24.0)
     weekly = 0.3 * params["amp"] * np.sin(2.0 * np.pi * t / 168.0)
@@ -207,11 +201,12 @@ def make_windows(series: TimeSeries, window: int) -> Windows:
 
 
 def split_support_query(pairs: Windows, seed: int, task_id: str = "") -> TaskDataset:
-    """Seeded uniform split with |support| = round(0.8 * n)."""
+    """Seeded uniform split with |support| = round(0.8 * n), capped at n - 1
+    so that the query pool is never empty."""
     n = len(pairs)
     if n < 2:
         raise DataError(f"need at least 2 pairs to split, got {n}")
-    n_support = round(SUPPORT_FRACTION * n)
+    n_support = min(round(SUPPORT_FRACTION * n), n - 1)
     order = spawn(seed, "support-query").permutation(n)
     support, query = np.sort(order[:n_support]), np.sort(order[n_support:])
     return TaskDataset(task_id=task_id, support=pairs[support], query=pairs[query])
@@ -247,7 +242,7 @@ def build_bundle(
     if test_horizon < 1:
         raise ValueError(f"test_horizon must be >= 1, got {test_horizon}")
     if any(s.task_id == target_series.task_id for s in train_series):
-        raise ValueError(f"target task id {target_series.task_id!r} also appears in the training tasks")
+        raise DataError(f"target task id {target_series.task_id!r} also appears in the training tasks")
     target = normalize(target_series, target_norm)
     target_pairs = make_windows(target, window)
     n = len(target_pairs)
@@ -277,12 +272,30 @@ def csv_text(series_list: list[TimeSeries]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_text(path) -> str:
-    """The file as UTF-8 text; undecodable bytes raise :class:`DataError`."""
+def read_rows(path, header: str):
+    """Yield ``(line number, fields)`` for each non-blank row of the CSV file
+    at ``path``, its comma-separated fields stripped.
+
+    Raises :class:`DataError` naming the line when the first line is not
+    ``header`` or a row has another field count than ``header``, and naming
+    the file when it is not UTF-8 or holds no data rows.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        lines = iter(Path(path).read_text(encoding="utf-8").splitlines())
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if (first := next(lines, "")).strip() != header:
+        raise DataError(f"{path}:1: expected header {header!r}, got {first!r}")
+    n_fields, n_rows = header.count(",") + 1, 0
+    for lineno, line in enumerate(lines, start=2):
+        if line.strip():
+            fields = [field.strip() for field in line.split(",")]
+            if len(fields) != n_fields:
+                raise DataError(f"{path}:{lineno}: expected {n_fields} comma-separated fields, got {len(fields)}")
+            n_rows += 1
+            yield lineno, fields
+    if not n_rows:
+        raise DataError(f"{path}: no data rows")
 
 
 def load_csv(path) -> list[TimeSeries]:
@@ -291,19 +304,8 @@ def load_csv(path) -> list[TimeSeries]:
     Raises :class:`DataError` naming the offending line, or the file when it
     holds no data rows.
     """
-    lines = read_text(path).splitlines()
-    if not lines or not any(line.strip() for line in lines):
-        raise DataError(f"{path}: file is empty")
-    if lines[0].strip() != CSV_HEADER:
-        raise DataError(f"{path}:1: expected header {CSV_HEADER!r}, got {lines[0]!r}")
     rows: dict[str, dict[int, float]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 comma-separated fields, got {len(parts)}")
-        task_id, ts_text, value_text = parts
+    for lineno, (task_id, ts_text, value_text) in read_rows(path, CSV_HEADER):
         try:
             ts = int(ts_text)
         except ValueError:
@@ -320,8 +322,6 @@ def load_csv(path) -> list[TimeSeries]:
         if ts in per_task:
             raise DataError(f"{path}:{lineno}: duplicate (task_id, timestamp) = ({task_id}, {ts})")
         per_task[ts] = value
-    if not rows:
-        raise DataError(f"{path}: no data rows")
     out = []
     for task_id, stamped in rows.items():
         if not math.isfinite(max(stamped.values()) - min(stamped.values())):  # normalize divides by this span

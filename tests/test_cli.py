@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 import fewcast
 from fewcast.cli import REQUIRED, build_parser, main
-from fewcast.data import MAX_GENERATED_VALUES, csv_text, TimeSeries
+from fewcast.data import DEFAULT_WINDOW, MAX_GENERATED_VALUES, csv_text, TimeSeries
 from fewcast.learners import NumericError
 from fewcast.search import MAX_GRID_RESOLUTION
 
@@ -268,6 +269,17 @@ def test_window_and_horizon_probes_exit_with_one_line(argv, data, code, request,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [["train", "--family", "linear"], ["train", "--family", "mlp", "--width", 128],
+                                  ["search", "--family", "linear", "--budget", 2]])
+def test_training_series_of_window_plus_two_values_trains(argv, data_dir, tmp_path):
+    # its 2 windows split 1/1: round(0.8 * 2) = 2 support windows would leave the query pool empty
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    rows = (data / "train_01.csv").read_text().splitlines()
+    (data / "train_01.csv").write_text("\n".join(rows[: 1 + DEFAULT_WINDOW + 2]) + "\n")
+    assert run(*argv, "--data", data, "--seed", 1, *FAST, "--out", tmp_path / "x") == 0
+
+
 class TestTrain:
     def test_fixed_defaults_accepted_verbatim(self, data_dir, tmp_path):
         # width 512, rates 0.01 / 0.001 / 0.05, sgd
@@ -445,6 +457,14 @@ def _compare_scores(body):
     return _on_file("scores.csv", ("seed,test_mse\n" + body).encode(), lambda d, ckpt: ["compare", d, d])
 
 
+def _training_task_named_like_the_target(tmp, data, ckpt):
+    copy = tmp / "renamed"
+    shutil.copytree(data, copy)
+    train = copy / "train_00.csv"
+    train.write_text(train.read_text().replace("synthetic-00", "synthetic-target"))
+    return ["search", "--data", copy, "--family", "linear", "--budget", 2, "--seed", 1]
+
+
 def _set_extra(key, value):
     return lambda header, payload: ({**header, "extra": {**header["extra"], key: value}}, payload)
 
@@ -493,8 +513,10 @@ def _drop(key):
                 ("duplicate-seed", "1,0.2\n1,0.3\n"),
                 ("inf", "1,inf\n2,inf\n"),
                 ("nan", "1,0.2\n2,nan\n"),
+                ("header-only", ""),
             ]
         ],
+        pytest.param(_training_task_named_like_the_target, 3, id="training-task-named-like-the-target"),
         pytest.param(_predict_edited_checkpoint(lambda h, p: (h, p[:-3])), 3, id="checkpoint-ragged-payload"),
         pytest.param(_predict_edited_checkpoint(lambda h, p: ([h], p)), 3, id="checkpoint-header-not-object"),
         *[

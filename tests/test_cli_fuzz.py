@@ -124,7 +124,7 @@ def _mutate_argv(rng, argv):
 
 def _mutate_text(rng, raw: bytes) -> bytes:
     lines = raw.split(b"\n")
-    op, i = rng.randrange(7), rng.randrange(len(lines))
+    op, i = rng.randrange(8), rng.randrange(len(lines))
     if op == 0:
         pos = rng.randrange(len(raw))
         return raw[:pos] + bytes([rng.randrange(256)]) + raw[pos + 1 :]
@@ -141,10 +141,13 @@ def _mutate_text(rng, raw: bytes) -> bytes:
             lines[i] = b",".join(fields)
     elif op == 5:
         lines[i] = b""
-    else:  # the last field of two rows, in a task CSV two values of its one task, set to extremes
+    elif op == 6:  # the last field of two rows, in a task CSV two values of its one task, set to extremes
         rows = [j for j in range(1, len(lines)) if lines[j]]
         for i in rng.sample(rows, min(len(rows), 2)):
             lines[i] = b",".join(lines[i].split(b",")[:-1] + [rng.choice(EXTREMES).encode()])
+    else:  # the header and the first k rows: none, one, or a task CSV's 25 and 26 values (one and two 24-lag windows)
+        del lines[1 + rng.choice([0, 1, 25, 26]) :]
+        lines.append(b"")
     return b"\n".join(lines)
 
 
@@ -175,8 +178,12 @@ def _case(kind, rng, inputs, work):
         return _mutate_argv(rng, rng.choice(_commands(str(data), str(ckpt), str(results))))
     if kind == "data":
         shutil.copytree(data, work / "data")
-        path = work / "data" / rng.choice(["target.csv", "train_00.csv"])
-        path.write_bytes(_mutate_text(rng, path.read_bytes()))
+        if rng.random() < 0.1:  # a training task that carries the target's id
+            path = work / "data" / "train_00.csv"
+            path.write_text(path.read_text().replace("synthetic-00", "synthetic-target"))
+        else:
+            path = work / "data" / rng.choice(["target.csv", "train_00.csv"])
+            path.write_bytes(_mutate_text(rng, path.read_bytes()))
         return rng.choice(_commands(str(work / "data"), str(ckpt), str(results))[1:6])  # every reader of --data
     if kind == "checkpoint":
         path = work / "model.params"

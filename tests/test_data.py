@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
+from fewcast.cli import SCORES_HEADER
 from fewcast.data import (
+    CSV_HEADER,
     DataError,
     TimeSeries,
     WindowPair,
     Windows,
     build_bundle,
     csv_text,
-    daily_phase_component,
     denormalize,
     generate_synthetic_tasks,
     load_csv,
     make_windows,
     normalize,
+    read_rows,
     split_support_query,
     synthetic_task_params,
 )
@@ -49,7 +51,7 @@ class TestGenerator:
         assert len(tasks) == 4
         for i, task in enumerate(tasks):
             params = synthetic_task_params("pv", i, seed=3)
-            night = daily_phase_component(params, 168) <= 0.0
+            night = np.sin(2.0 * np.pi * (np.arange(168) - params["phase"]) / 24.0) <= 0.0
             assert night.any()
             assert np.all(task.values[night] == 0.0)
 
@@ -150,6 +152,12 @@ class TestSplit:
         ds = split_support_query(pairs, seed=1)
         assert len(ds.support) == 4 and len(ds.query) == 1
 
+    def test_two_pairs_keep_one_query_pair(self):
+        # round(0.8 * 2) = 2 would leave the query pool empty
+        pairs = make_windows(series(np.arange(4, dtype=float)), window=2)
+        ds = split_support_query(pairs, seed=2)
+        assert len(ds.support) == 1 and len(ds.query) == 1
+
     def test_determinism(self):
         pairs = make_windows(series(np.arange(20, dtype=float)), window=3)
         a = split_support_query(pairs, seed=5)
@@ -171,6 +179,16 @@ class TestSplit:
 
 
 class TestCsv:
+    @pytest.mark.parametrize("header", [CSV_HEADER, SCORES_HEADER])
+    def test_read_rows_skips_blanks_and_strips_fields(self, tmp_path, header):
+        n = header.count(",") + 1
+        path = tmp_path / "rows.csv"
+        path.write_text(f"{header}\n\n" + " , ".join(["a"] * n) + "\n   \n" + ",".join(["b "] * n) + "\n\n")
+        assert list(read_rows(path, header)) == [(3, ["a"] * n), (5, ["b"] * n)]
+        path.write_text(f"{header}\n" + ",".join(["a"] * n) + "\n\n" + ",".join(["b"] * (n + 1)) + "\n")
+        with pytest.raises(DataError, match=f":4: expected {n} comma-separated fields, got {n + 1}"):
+            list(read_rows(path, header))
+
     def test_direct_mapping(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("task_id,timestamp,value\nA,0,1.0\nA,1,2.0\n")

@@ -3,7 +3,8 @@
 No module but ``__init__`` may keep an import it never uses, or a
 module-level private function that no code in the package refers to: the
 orphans a deletion tends to leave behind. The package defines one exception
-class per exit code of the CLI.
+class per exit code of the CLI, and only ``data`` splits text into CSV lines
+and fields.
 """
 
 import ast
@@ -70,3 +71,19 @@ def test_one_exception_class_per_exit_code():
             and issubclass(getattr(builtins, base), BaseException) for base in names)}:
         exceptions |= derived
     assert sorted(exceptions) == ["DataError", "NumericError", "UsageError"]
+
+
+def csv_splits(tree):
+    """Every ``.splitlines()`` call and ``.split(",")`` call in the tree, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            first = node.args[0] if node.args else None
+            if node.func.attr == "splitlines" or (
+                    node.func.attr == "split" and isinstance(first, ast.Constant) and first.value == ","):
+                yield f"{node.func.attr} (line {node.lineno})"
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"data"}))
+def test_only_data_splits_csv_text(module):
+    # one CSV grammar: every other reader iterates data.read_rows
+    assert list(csv_splits(MODULES[module])) == []
