@@ -38,6 +38,8 @@ from .data import (
     denormalize,
     generate_synthetic_tasks,
     load_csv,
+    make_windows,
+    normalize,
     read_rows,
 )
 from .learners import (
@@ -160,24 +162,19 @@ def _config_argv(args, argv: list[str]) -> list[str]:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"  # strict JSON: no Infinity or NaN
 
 
 def _lines(rows: list[str]) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _load_series_dir(data_dir: Path, require_train: bool = True):
-    target_path = data_dir / "target.csv"
-    targets = load_csv(target_path)
+def _load_target(data_dir: Path):
+    path = data_dir / "target.csv"
+    targets = load_csv(path)
     if len(targets) != 1:
-        raise DataError(f"{target_path}: expected exactly one task, found {len(targets)}")
-    train_series = []
-    for path in sorted(data_dir.glob("train_*.csv")):
-        train_series.extend(load_csv(path))
-    if require_train and not train_series:
-        raise DataError(f"{data_dir}: no train_*.csv files found")
-    return train_series, targets[0]
+        raise DataError(f"{path}: expected exactly one task, found {len(targets)}")
+    return targets[0]
 
 
 # The fixed (non-searched) MetaConfig settings that search and train share.
@@ -201,12 +198,18 @@ def _meta_config(args, **chosen) -> MetaConfig:
         return MetaConfig(**{name: getattr(args, name) for name in META_FLAGS}, **chosen)
 
 
-def _run_seeds(args, train_series, target, run_seed) -> dict:
-    """The files of every seed in ``args.seed`` and their ``scores.csv``.
+def _run_seeds(args, run_seed, require_train: bool = True) -> dict:
+    """The files of every seed in ``args.seed`` and their ``scores.csv``,
+    from the target and training tasks in ``args.data``.
 
     ``run_seed(seed, bundle)`` returns one seed's ``{name: content}`` map,
     which goes under ``seed_<n>/``, and its test MSE.
     """
+    data_dir = Path(args.data)
+    target = _load_target(data_dir)
+    train_series = [series for path in sorted(data_dir.glob("train_*.csv")) for series in load_csv(path)]
+    if require_train and not train_series:
+        raise DataError(f"{data_dir}: no train_*.csv files found")
     files, scores = {}, [SCORES_HEADER]
     for seed in args.seed:
         bundle = build_bundle(train_series, target, window=args.window, seed=seed)
@@ -252,7 +255,6 @@ def cmd_search(args) -> dict:
             c_uct=args.c_uct,
             include_shots_level=args.search_shots,
         )
-    train_series, target = _load_series_dir(Path(args.data))
 
     def run_seed(seed, bundle):
         start = time.perf_counter()
@@ -278,7 +280,7 @@ def cmd_search(args) -> dict:
             "summary.json": _json(summary),
         }, best.test_mse if best else math.inf
 
-    return _run_seeds(args, train_series, target, run_seed)
+    return _run_seeds(args, run_seed)
 
 
 def cmd_train(args) -> dict:
@@ -293,7 +295,6 @@ def cmd_train(args) -> dict:
     chosen = {name: getattr(args, name) for name in SEARCHED_FIELDS}
     settings = _meta_config(args, **chosen)
     config = PipelineConfig(family=args.family, width=width, **chosen)
-    train_series, target = _load_series_dir(Path(args.data), require_train=not args.vanilla)
 
     def run_seed(seed, bundle):
         spec = LearnerSpec(family=config.family, input_dim=bundle.window, width=config.width)
@@ -306,26 +307,27 @@ def cmd_train(args) -> dict:
             meta_result, test_mse = train_pipeline(config, bundle, seed, settings)
             steps, val_mse = total_gradient_steps(settings, len(bundle.train_tasks)), meta_result.val_mse
             checkpoints = {"model.params": meta_result.theta_final, "meta_init.params": meta_result.theta_meta}
-            curve = meta_result.train_curve  # (iteration, loss) pairs, JSON arrays
-        extra = {"target_norm": list(bundle.target_norm), "window": bundle.window}
-        files = {name: dump_params(spec, params, extra) for name, params in checkpoints.items()}
+            # (iteration, loss) pairs, JSON arrays; a loss that overflowed is null
+            curve = [(it, loss if math.isfinite(loss) else None) for it, loss in meta_result.train_curve]
+        files = {name: dump_params(spec, params, bundle.target_norm) for name, params in checkpoints.items()}
         result = {"vanilla": args.vanilla, "train_steps": steps, "train_curve": curve, "seed": seed,
                   "val_mse": val_mse, "test_mse": test_mse, "config": config.to_dict()}
         files["result.json"] = _json(result)
         return files, test_mse
 
-    return _run_seeds(args, train_series, target, run_seed)
+    return _run_seeds(args, run_seed, require_train=not args.vanilla)
 
 
 def cmd_predict(args) -> dict:
     checkpoint = Path(args.checkpoint)
-    spec, theta, extra = load_params(checkpoint / "model.params" if checkpoint.is_dir() else checkpoint)
-    _, target = _load_series_dir(Path(args.data), require_train=False)
+    spec, theta, scaler = load_params(checkpoint / "model.params" if checkpoint.is_dir() else checkpoint)
+    target = _load_target(Path(args.data))
     with np.errstate(all="ignore"):  # a non-finite input or forecast is reported below, not warned about
-        bundle = build_bundle([], target, spec.input_dim, args.horizon, seed=0, target_norm=extra.get("target_norm"))
-        if len(bundle.test) < args.horizon:
-            raise DataError(f"target holds {len(bundle.test)} forecast steps; --horizon asks for {args.horizon}")
-        X = bundle.test.X
+        scaled = normalize(target, scaler)
+        windows = make_windows(scaled, spec.input_dim)
+        if len(windows) - 1 < args.horizon:  # the first window stays unforecast, as in a training bundle
+            raise DataError(f"target holds {len(windows) - 1} forecast steps; --horizon asks for {args.horizon}")
+        X = windows.X[-args.horizon :]
         if args.recursive:  # each forecast becomes the newest lag of the next row
             y_pred, row = np.empty(len(X)), X[:1].copy()
             for i in range(len(X)):
@@ -333,7 +335,7 @@ def cmd_predict(args) -> dict:
                 row[0] = np.append(row[0, 1:], y_pred[i])
         else:
             y_pred = forward(spec, theta, X)
-        y_pred = denormalize(y_pred, bundle.target_norm)
+        y_pred = denormalize(y_pred, scaled.norm)
     if not np.isfinite(y_pred).all():
         raise NumericError(f"forecast step {int(np.argmin(np.isfinite(y_pred)))} is not finite")
     y_true = target.values[-len(y_pred):]  # the target's own last values, which the test windows predict

@@ -225,30 +225,22 @@ def pairs_to_arrays(pairs: Windows | list[WindowPair]) -> tuple[np.ndarray, np.n
 
 
 def build_bundle(
-    train_series: list[TimeSeries],
-    target_series: TimeSeries,
-    window: int = DEFAULT_WINDOW,
-    test_horizon: int = DEFAULT_HORIZON,
-    seed: int = 0,
-    target_norm: tuple[float, float] | None = None,
+    train_series: list[TimeSeries], target_series: TimeSeries, window: int = DEFAULT_WINDOW, seed: int = 0
 ) -> DataBundle:
     """Normalize, window, and split everything into a DataBundle.
 
-    The target is normalized by ``target_norm`` (default: its own min/max),
-    each training series by its own. The target's windows are cut into a
-    leading validation slice (first 80%, capped so it stays disjoint) and a
-    trailing test slice of up to ``test_horizon`` targets.
+    Each series is normalized by its own min/max. The target's windows are
+    cut into a leading validation slice (first 80%, capped so it stays
+    disjoint) and a trailing test slice of up to ``DEFAULT_HORIZON`` targets.
     """
-    if test_horizon < 1:
-        raise ValueError(f"test_horizon must be >= 1, got {test_horizon}")
     if any(s.task_id == target_series.task_id for s in train_series):
         raise DataError(f"target task id {target_series.task_id!r} also appears in the training tasks")
-    target = normalize(target_series, target_norm)
+    target = normalize(target_series)
     target_pairs = make_windows(target, window)
     n = len(target_pairs)
     if n < 2:
         raise DataError("target series too short to carve validation and test slices")
-    n_test = min(test_horizon, n - 1)
+    n_test = min(DEFAULT_HORIZON, n - 1)
     n_val = min(round(SUPPORT_FRACTION * n), n - n_test)
     tasks = []
     for s in train_series:

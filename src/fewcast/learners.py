@@ -384,25 +384,26 @@ def optimizer_step(
 # --- checkpoint serialization ---------------------------------------------
 
 
-def dump_params(spec: LearnerSpec, theta: np.ndarray, extra: dict | None = None) -> bytes:
-    """Flat little-endian float64 blob behind a one-line JSON header."""
+def dump_params(spec: LearnerSpec, theta: np.ndarray, target_norm: tuple[float, float] | None = None) -> bytes:
+    """Flat little-endian float64 blob behind a one-line JSON header, whose ``extra`` block records the target's
+    scaler (lo, hi), if any, and the window the parameters take."""
     header = {
         "format_version": PARAMS_FORMAT_VERSION,
         "family": spec.family,
         "input_dim": spec.input_dim,
         "width": spec.width,
         "n_params": int(theta.size),
+        "extra": {"target_norm": None if target_norm is None else list(target_norm), "window": spec.input_dim},
     }
-    if extra:
-        header["extra"] = extra
     blob = np.ascontiguousarray(theta, dtype="<f8").tobytes()
     return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + blob
 
 
-def load_params(path) -> tuple[LearnerSpec, np.ndarray, dict]:
-    """The spec, finite parameters and ``extra`` block of a :func:`dump_params`
+def load_params(path) -> tuple[LearnerSpec, np.ndarray, tuple[float, float] | None]:
+    """The spec, finite parameters and target scaler of a :func:`dump_params`
     file; any ``extra`` window must equal the input dimension, and any
-    target_norm be empty or two finite numbers."""
+    target_norm be empty or two finite numbers. An empty, null or absent
+    target_norm loads as ``None``."""
     raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
     if newline < 0:
@@ -443,4 +444,4 @@ def load_params(path) -> tuple[LearnerSpec, np.ndarray, dict]:
         and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in norm)  # exact, even for a huge int
     ):
         raise DataError(f"{path}: target_norm {norm!r} is neither null nor two finite numbers")
-    return spec, theta, extra
+    return spec, theta, tuple(norm) if norm else None

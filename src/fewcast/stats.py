@@ -136,6 +136,15 @@ def best_so_far(records) -> list[float]:
     return out
 
 
+def _median(values: np.ndarray) -> float:
+    """The median, with the two middle values of an even count halved before
+    they are added, so that their sum cannot overflow. Halving is exact for
+    normal floats, so a finite median keeps the bits of ``np.median``'s."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    return float(ordered[mid] if ordered.size % 2 else ordered[mid - 1] / 2 + ordered[mid] / 2)
+
+
 def compare_samples(errors_a, errors_b) -> dict:
     """Paired comparison of two error samples (lower is better).
 
@@ -147,8 +156,8 @@ def compare_samples(errors_a, errors_b) -> dict:
     outcome = wilcoxon_signed_rank(errors_a, errors_b)
     effect = a12(-errors_a, -errors_b)
     return {
-        "mse_a": float(np.median(errors_a)),
-        "mse_b": float(np.median(errors_b)),
+        "mse_a": _median(errors_a),
+        "mse_b": _median(errors_b),
         **vars(outcome),
         "a12": effect.value,
         "category": effect.category,

@@ -31,6 +31,13 @@ def run(*argv):
 SUBCOMMANDS = ("generate", "search", "train", "predict", "compare")
 
 
+def strict_json(path):
+    """The JSON document at ``path``, parsed strictly: ``Infinity``, ``-Infinity`` or ``NaN`` raises."""
+    def reject(constant):
+        raise ValueError(f"{path}: non-standard JSON constant {constant}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def command_options(command):
     """The dests of a command's own options: what its manifest records beside command, argv and artifact_version."""
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -294,6 +301,17 @@ class TestTrain:
         assert (out / "seed_7" / "model.params").exists()
         assert (out / "seed_7" / "meta_init.params").exists()
 
+    def test_overflowed_meta_loss_is_recorded_as_null(self, data_dir, tmp_path):
+        # inner steps at rate 0.5 blow the query residuals up past 1e154, where r @ r overflows while the
+        # gradient and every parameter stay finite: the run succeeds and its curve holds null, not Infinity
+        out = tmp_path / "overflow"
+        assert run("train", "--data", data_dir, "--family", "linear", "--optimizer", "adam", "--inner-lr", 0.5,
+                   "--outer-lr", 0.001, "--finetune-lr", 0.0001, "--inner-steps", 90, "--seed", 1,
+                   "--out", out) == 0
+        result = strict_json(out / "seed_1" / "result.json")
+        assert math.isfinite(result["test_mse"]) and math.isfinite(result["val_mse"])
+        assert None in [loss for _, loss in result["train_curve"]]
+
     def test_out_of_range_rate_usage_error(self, data_dir, tmp_path):
         assert run("train", "--data", data_dir, "--family", "mlp", "--inner-lr", 0.7,
                    "--seed", 1, "--out", tmp_path / "x") == 2
@@ -387,26 +405,33 @@ class TestPredict:
     def test_other_target_uses_one_scaler(self, tmp_path, target_norm):
         # A checkpoint trained on one bundle, applied to another kind's target: the inputs are normalized and
         # the forecast de-normalized by the same (lo, hi), the checkpoint's or else the target's own min/max.
-        from fewcast.data import build_bundle, denormalize, load_csv
+        from fewcast.data import denormalize, load_csv, make_windows, normalize
         from fewcast.learners import dump_params, forward, load_params
 
         assert run("generate", "--seed", 1, "--hours", 60, "--out", tmp_path / "small") == 0
         assert run("generate", "--kind", "load", "--seed", 5, "--out", tmp_path / "load") == 0
         assert run("train", "--data", tmp_path / "small", "--family", "linear", "--seed", 1,
                    "--out", tmp_path / "train", *FAST) == 0
-        spec, theta, extra = load_params(tmp_path / "train" / "seed_1" / "model.params")
-        if target_norm != "trained":
-            extra["target_norm"] = target_norm
-        (tmp_path / "model.params").write_bytes(dump_params(spec, theta, extra))
+        spec, theta, trained = load_params(tmp_path / "train" / "seed_1" / "model.params")
+        scaler = trained if target_norm == "trained" else None
+        (tmp_path / "model.params").write_bytes(dump_params(spec, theta, scaler))
         assert run("predict", "--checkpoint", tmp_path / "model.params", "--data", tmp_path / "load",
                    "--out", tmp_path / "pred") == 0
         rows = [r.split(",") for r in (tmp_path / "pred" / "forecast.csv").read_text().splitlines()[1:]]
         target = load_csv(tmp_path / "load" / "target.csv")[0]
         assert [float(r[1]) for r in rows] == target.values[-24:].tolist()
-        bundle = build_bundle([], target, 24, 24, target_norm=extra["target_norm"] or None)
-        assert bundle.target_norm == (tuple(extra["target_norm"]) or (target.values.min(), target.values.max()))
-        expected = denormalize(forward(spec, theta, bundle.test.X), bundle.target_norm)
+        scaled = normalize(target, scaler)
+        assert scaled.norm == (scaler or (target.values.min(), target.values.max()))
+        expected = denormalize(forward(spec, theta, make_windows(scaled, 24).X[-24:]), scaled.norm)
         assert [float(r[2]) for r in rows] == expected.tolist()
+
+    def test_training_files_are_not_read(self, checkpoint, data_dir, tmp_path):
+        copy = tmp_path / "header-only-train"
+        shutil.copytree(data_dir, copy)
+        (copy / "train_00.csv").write_text("task_id,timestamp,value\n")
+        for data, out in ((data_dir, tmp_path / "intact"), (copy, tmp_path / "copy")):
+            assert run("predict", "--checkpoint", checkpoint, "--data", data, "--out", out) == 0
+        assert (tmp_path / "copy" / "forecast.csv").read_bytes() == (tmp_path / "intact" / "forecast.csv").read_bytes()
 
     def test_recursive_mode_runs(self, checkpoint, data_dir, tmp_path):
         out = tmp_path / "p3"
@@ -608,9 +633,6 @@ def test_vanilla_train_does_not_fault_in_its_temporaries_again(data_dir, tmp_pat
 
 
 def test_each_command_writes_its_files_and_strict_json(data_dir, tmp_path):
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
     per_search_seed = ["plot.csv", "summary.json", "timings.json", "trajectory.jsonl"]
     chain = [
         ("gen", ["generate", "--seed", 3, "--tasks", 2],
@@ -635,7 +657,7 @@ def test_each_command_writes_its_files_and_strict_json(data_dir, tmp_path):
         assert run(*argv, "--out", out) == 0
         assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == expected
         for path in out.rglob("*.json"):
-            json.loads(path.read_text(), parse_constant=reject)
+            strict_json(path)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest.keys() == command_options(argv[0]) | {"command", "argv", "artifact_version"}
 
@@ -779,6 +801,15 @@ class TestCompare:
         report = json.loads((out / "report.json").read_text())
         assert len(report["pairs"]) == 3  # 3 choose 2
         assert sum(report["category_percentages"].values()) == pytest.approx(100.0)
+
+    def test_median_of_huge_errors_does_not_overflow(self, tmp_path):
+        # the two middle values of an even count sum past the float64 range
+        a, b = tmp_path / "huge", tmp_path / "small"
+        self.make_scores(a, [(1, 1e308), (2, 1.5e308), (3, 0.5), (4, 1.7e308)])
+        self.make_scores(b, [(1, 0.1), (2, 0.2), (3, 0.3), (4, 0.4)])
+        proc = run_child("compare", a, b, "--out", tmp_path / "cmp")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert strict_json(tmp_path / "cmp" / "report.json")["pairs"][0]["mse_a"] == pytest.approx(1.25e308)
 
     def test_unequal_seed_sets_rejected(self, tmp_path):
         d1, d2 = tmp_path / "s1", tmp_path / "s2"

@@ -3,8 +3,9 @@
 Each case calls ``main`` in process on a mutated command line, or on a valid
 one whose data, checkpoint, config or scores file has been mutated. Every
 case must end in a known exit code (0 success, 2 usage, 3 data, 4 numeric)
-without an escaping exception; a failure must print exactly one stderr line
-and write nothing. A warning counts as a stderr line, since a console run
+without an escaping exception; a success must write only finite forecasts
+and strict JSON, and a failure must print exactly one stderr line and write
+nothing. A warning counts as a stderr line, since a console run
 prints it. A case of an even index that exits 0 and writes files must write
 them again, byte for byte, when rerun from ``--config`` of its own
 ``manifest.json`` into a new ``--out``.
@@ -207,9 +208,14 @@ def _case(kind, rng, inputs, work):
     return ["compare", str(results), str(work / "run")]
 
 
-def _finite_forecast(out):
+def _finite_outputs(out):
+    """Whether a run's forecast is finite and each JSON file it wrote parses strictly, with no Infinity or NaN."""
+    constants = []  # what a strict parser would refuse
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=constants.append)
     path = out / "forecast.csv"
-    return not path.exists() or np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)).all()
+    forecast = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2) if path.exists() else np.zeros(1)
+    return not constants and np.isfinite(forecast).all()
 
 
 def _recorded(out, command, printed):
@@ -258,8 +264,8 @@ def test_mutated_inputs_end_in_a_known_exit(kind, inputs, tmp_path, monkeypatch,
         err = captured.err + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
         if code not in (0, 2, 3, 4):
             failures.append(f"{kind}-{i} {argv}: exit {code}")
-        elif code == 0 and (caught or not _finite_forecast(out) or not _recorded(out, argv[0], captured.out)):
-            failures.append(f"{kind}-{i} {argv}: exit 0 with {err!r}, a non-finite forecast or an unrecorded option")
+        elif code == 0 and (caught or not _finite_outputs(out) or not _recorded(out, argv[0], captured.out)):
+            failures.append(f"{kind}-{i} {argv}: exit 0 with {err!r}, a non-finite output or an unrecorded option")
         elif code == 0 and out.exists() and i % RERUN_EVERY == 0 and (
                 fault := _replay_fault(out, work / "again", capsys)):
             failures.append(f"{kind}-{i} {argv}: the rerun from its manifest {fault}")

@@ -265,15 +265,6 @@ class TestBundle:
         assert np.array_equal(test_ys, target.values[-24:])
         assert not val_ys & set(test_ys) or len(val_ys & set(test_ys)) < len(test_ys)
 
-    def test_target_norm_scales_the_target_only(self):
-        tasks = generate_synthetic_tasks("synthetic", 3, 168, seed=0)
-        own = build_bundle(tasks[:2], tasks[2], window=24, seed=0)
-        given = build_bundle(tasks[:2], tasks[2], window=24, seed=0, target_norm=(-1.0, 3.0))
-        assert own.target_norm == normalize(tasks[2]).norm and given.target_norm == (-1.0, 3.0)
-        assert np.array_equal(given.test.y, (tasks[2].values[-24:] + 1.0) / 4.0)
-        for a, b in zip(own.train_tasks, given.train_tasks):
-            assert np.array_equal(a.support.X, b.support.X) and np.array_equal(a.query.y, b.query.y)
-
     def test_arrays_read_only(self):
         tasks = generate_synthetic_tasks("synthetic", 5, 168, seed=0)
         bundle = build_bundle(tasks[:4], tasks[4], window=24, seed=0)

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -467,16 +468,24 @@ class TestOptimizers:
             optimizer_step(state, np.zeros(1), np.zeros(1), lr=0.0)
 
 
+def write_extra_block(path, spec, extra):
+    """A checkpoint whose header holds ``extra`` as its ``extra`` block, or no such block when it is empty."""
+    header, payload = dump_params(spec, init_params(spec, seed=0)).split(b"\n", 1)
+    header = {key: value for key, value in json.loads(header).items() if key != "extra"}
+    path.write_bytes(json.dumps({**header, "extra": extra} if extra else header).encode() + b"\n" + payload)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         spec = LearnerSpec("mlp", input_dim=7, width=5)
         theta = init_params(spec, seed=9)
         path = tmp_path / "model.params"
-        path.write_bytes(dump_params(spec, theta, extra={"target_norm": [0.0, 2.0]}))
-        spec2, theta2, extra = load_params(path)
+        path.write_bytes(dump_params(spec, theta, target_norm=(0.0, 2.0)))
+        spec2, theta2, target_norm = load_params(path)
         assert spec2 == spec
         assert np.array_equal(theta, theta2)
-        assert extra == {"target_norm": [0.0, 2.0]}
+        assert target_norm == (0.0, 2.0)
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["extra"] == {"target_norm": [0.0, 2.0], "window": 7}
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.params"
@@ -506,19 +515,18 @@ class TestSerialization:
         ],
     )
     def test_extra_block_checked(self, tmp_path, extra, message):
-        spec = LearnerSpec("linear", input_dim=3)
         path = tmp_path / "model.params"
-        path.write_bytes(dump_params(spec, init_params(spec, seed=0), extra=extra))
+        write_extra_block(path, LearnerSpec("linear", input_dim=3), extra)
         with pytest.raises(DataError, match=message):
             load_params(path)
 
     @pytest.mark.parametrize("extra", [{}, {"window": 3, "target_norm": []}, {"target_norm": None},
                                        {"window": 3, "target_norm": [-2, 1e300]}])
     def test_valid_extra_block_loads(self, tmp_path, extra):
-        spec = LearnerSpec("linear", input_dim=3)
+        # an empty, null or absent target_norm loads as None: no scaler
         path = tmp_path / "model.params"
-        path.write_bytes(dump_params(spec, init_params(spec, seed=0), extra=extra))
-        assert load_params(path)[2] == extra
+        write_extra_block(path, LearnerSpec("linear", input_dim=3), extra)
+        assert load_params(path)[2] == (tuple(extra.get("target_norm") or ()) or None)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_rejected(self, tmp_path, value):

@@ -9,6 +9,7 @@ from fewcast.stats import (
     EXACT_LIMIT,
     SIGNIFICANCE_LEVEL,
     _average_ranks,
+    _median,
     a12,
     best_so_far,
     categorize_a12,
@@ -282,6 +283,14 @@ class TestTrajectoryAnalytics:
 
 
 class TestCompareSamples:
+    def test_median_keeps_the_bits_of_np_median(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.integers(1, 31))
+            scale = 10.0 ** rng.integers(-8, 8)
+            sample = rng.lognormal(sigma=5.0, size=n) if rng.integers(2) else rng.normal(scale=scale, size=n)
+            assert _median(sample) == float(np.median(sample))
+
     def test_self_comparison(self):
         errors = [0.5, 0.4, 0.3]
         row = compare_samples(errors, errors)
