@@ -29,4 +29,4 @@ from .search import (
     random_search,
     search,
 )
-from .stats import a12, best_so_far, wilcoxon_signed_rank
+from .stats import a12, wilcoxon_signed_rank

@@ -4,9 +4,9 @@ Every command takes explicit seeds (no wall-clock defaults) and returns its
 files; only once it has succeeded does ``main`` write them to ``--out``, with
 a manifest recording the argument vector and every resolved option. Each
 file is written under a temporary name and renamed into place, so it appears
-whole or not at all. Deterministic artifacts (.csv / .jsonl) never contain
-wall-clock measurements; timing lives in JSON sidecars so repeated runs with
-the same arguments are byte-identical.
+whole or not at all. Wall-clock measurements live in ``timings.json`` alone,
+so repeated runs with the same arguments write every other file byte for
+byte.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
@@ -229,8 +229,8 @@ def _read_scores(result_dir: Path) -> dict[int, float]:
             raise DataError(f"{path}:{lineno}: expected '<integer seed>,<mse>', got '{seed_text},{mse_text}'") from None
         if seed in out:
             raise DataError(f"{path}:{lineno}: duplicate seed {seed}")
-        if not math.isfinite(mse):
-            raise DataError(f"{path}:{lineno}: test_mse {mse_text!r} is not finite")
+        if not 0.0 <= mse < math.inf:  # NaN fails the comparison too
+            raise DataError(f"{path}:{lineno}: test_mse {mse_text!r} is not a finite, non-negative number")
         out[seed] = mse
     return out
 
@@ -269,10 +269,9 @@ def cmd_search(args) -> dict:
             "best_config": best.config.to_dict() if best else None,
             "best_test_mse": best.test_mse if best else None,
             "best_val_mse": best.val_mse if best else None,
-            "failed_evaluations": sum(1 for r in trajectory.records if r.status == "failed"),
-            "total_wall_time_ms": total_ms,
+            "failed_evaluations": trajectory.failed_count(),
         }
-        timings = {"per_iteration_ms": per_iter, "cumulative_ms": list(np.cumsum(per_iter)), "total_ms": total_ms}
+        timings = {"per_iteration_ms": per_iter, "total_ms": total_ms}
         return {
             "trajectory.jsonl": trajectory.to_jsonl(),
             "plot.csv": _lines(["iteration,best_so_far_mse"] + plot_rows),

@@ -13,6 +13,7 @@ along the visited path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +22,6 @@ import numpy as np
 from .learners import OPTIMIZERS
 from .meta import LR_MAX, LR_MIN, EvaluationRecord, MetaConfig, PipelineConfig, evaluate_pipeline
 from .rng import derive_seed, spawn
-from .stats import best_so_far
 
 WIDTH_OPTIONS = (128, 256, 384, 512, 640, 768, 896, 1024)
 SHOT_OPTIONS = (1, 5, 10, 20)
@@ -193,16 +193,29 @@ def reward_from_mse(mse: float | None) -> float:
     return 1.0 / (1.0 + mse)
 
 
+def _succeeded(record: EvaluationRecord) -> bool:
+    """The one rule for an evaluation's outcome: it succeeded when its status is "ok" and it has a test MSE."""
+    return record.status == "ok" and record.test_mse is not None
+
+
 @dataclass(frozen=True)
 class SearchTrajectory:
     records: tuple[EvaluationRecord, ...]
 
     def best_so_far(self) -> list[float]:
-        return best_so_far(self.records)
+        """Running minimum of test MSE over the records. Failed evaluations
+        carry the previous best forward; leading failures yield +inf until the
+        first success."""
+        if not self.records:
+            raise ValueError("best_so_far of an empty trajectory is undefined")
+        return list(itertools.accumulate((r.test_mse if _succeeded(r) else math.inf for r in self.records), min))
 
     def best_record(self) -> EvaluationRecord | None:
-        ok = [r for r in self.records if r.status == "ok" and r.test_mse is not None]
+        ok = [r for r in self.records if _succeeded(r)]
         return min(ok, key=lambda r: r.test_mse) if ok else None
+
+    def failed_count(self) -> int:
+        return sum(not _succeeded(r) for r in self.records)
 
     def to_jsonl(self) -> str:
         return "\n".join(r.to_json() for r in self.records) + "\n"
@@ -236,7 +249,7 @@ def _run(propose, bundle, budget: int, seed: int, evaluator, settings: MetaConfi
     for it in range(budget):
         path, config = propose()
         record = replace(evaluator(config, bundle, derive_seed(seed, "eval", it)), iteration=it)
-        backpropagate(path, reward_from_mse(record.test_mse if record.status == "ok" else None), config)
+        backpropagate(path, reward_from_mse(record.test_mse if _succeeded(record) else None), config)
         records.append(record)
     trajectory = SearchTrajectory(records=tuple(records))
     best = trajectory.best_record()

@@ -4,8 +4,8 @@ The Vargha-Delaney A12 effect size with categorical thresholds (0.56 / 0.64
 / 0.71 above the 0.5 equivalence point), and a two-sided Wilcoxon
 signed-rank test that is exact (full enumeration of sign assignments) up to
 12 effective pairs and normally approximated with tie and continuity
-corrections beyond that. Also the running best used to summarize search
-runs.
+corrections beyond that. The functions take numbers only; reading a
+search's evaluation records is ``fewcast.search``'s job.
 """
 
 from __future__ import annotations
@@ -117,23 +117,6 @@ def wilcoxon_signed_rank(a, b) -> TestOutcome:
         z = (w - mean_w + 0.5) / math.sqrt(var_w)  # +0.5: continuity, W <= mean
         p = min(1.0, math.erfc(-z / math.sqrt(2.0)))
     return TestOutcome(statistic=w, p_value=p, significant=p < SIGNIFICANCE_LEVEL, n_effective=n)
-
-
-def best_so_far(records) -> list[float]:
-    """Running minimum of test MSE over a sequence of evaluation records.
-
-    Failed evaluations carry the previous best forward; leading failures
-    yield +inf until the first success.
-    """
-    if not records:
-        raise ValueError("best_so_far of an empty trajectory is undefined")
-    out = []
-    best = math.inf
-    for record in records:
-        if record.status == "ok" and record.test_mse is not None:
-            best = min(best, record.test_mse)
-        out.append(best)
-    return out
 
 
 def _median(values: np.ndarray) -> float:

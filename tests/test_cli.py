@@ -132,6 +132,21 @@ class TestSearch:
         summary = json.loads((out / "seed_3" / "summary.json").read_text())
         assert summary["best_config"] is None and summary["failed_evaluations"] == 2
 
+    def test_rerun_into_the_same_out_repeats_every_file_but_the_timings(self, data_dir, tmp_path):
+        out, written = tmp_path / "twice", []
+        for _ in range(2):
+            assert run("search", "--data", data_dir, "--family", "linear", "--budget", 3,
+                       "--seed", 1, 2, "--out", out, *FAST) == 0
+            written.append({p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        first, second = ({name: content for name, content in files.items() if not name.endswith("timings.json")}
+                         for files in written)
+        assert sorted(first) == sorted(second) and len(first) == 8  # scores, manifest, and 3 files per seed
+        assert [name for name in first if first[name] != second[name]] == []
+        # wall-clock time lives in timings.json alone
+        assert json.loads(written[1]["seed_1/timings.json"]).keys() == {"per_iteration_ms", "total_ms"}
+        assert json.loads(first["seed_1/summary.json"]).keys() == {
+            "seed", "budget", "best_config", "best_test_mse", "best_val_mse", "failed_evaluations"}
+
     def test_linear_budget_50_within_time_budget(self, data_dir, tmp_path):
         # measured well under a minute on commodity hardware; enforced at 3x
         import time
@@ -810,6 +825,17 @@ class TestCompare:
         proc = run_child("compare", a, b, "--out", tmp_path / "cmp")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert strict_json(tmp_path / "cmp" / "report.json")["pairs"][0]["mse_a"] == pytest.approx(1.25e308)
+
+    def test_negative_error_rejected(self, tmp_path):
+        # an MSE is never negative; scores of opposite sign overflowed the Wilcoxon differences
+        a, b = tmp_path / "huge", tmp_path / "negative"
+        self.make_scores(a, [(1, 1.7e308), (2, 0.5)])
+        self.make_scores(b, [(1, -1.7e308), (2, 0.4)])
+        proc = run_child("compare", a, b, "--out", tmp_path / "cmp")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
+        assert f"{b / 'scores.csv'}:2: test_mse '-1.7e+308'" in proc.stderr
+        assert not (tmp_path / "cmp").exists()
 
     def test_unequal_seed_sets_rejected(self, tmp_path):
         d1, d2 = tmp_path / "s1", tmp_path / "s2"

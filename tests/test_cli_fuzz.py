@@ -227,9 +227,10 @@ def _recorded(out, command, printed):
 
 
 def _replayed(out):
-    """The files a run writes that hold no wall-clock time, by path."""
+    """The files a run writes, by path, except the two a replay may change: ``timings.json``, which holds
+    wall-clock time, and ``manifest.json``, which records the replay's own command line."""
     return {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
-            if path.suffix in (".csv", ".jsonl", ".params") or path.name in ("result.json", "report.json")}
+            if path.is_file() and path.name not in ("timings.json", "manifest.json")}
 
 
 def _replay_fault(out, again, capsys):

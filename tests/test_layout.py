@@ -3,8 +3,8 @@
 No module but ``__init__`` may keep an import it never uses, or a
 module-level private function that no code in the package refers to: the
 orphans a deletion tends to leave behind. The package defines one exception
-class per exit code of the CLI, and only ``data`` splits text into CSV lines
-and fields.
+class per exit code of the CLI, only ``data`` splits text into CSV lines and
+fields, and only ``search`` reads an evaluation record's status.
 """
 
 import ast
@@ -87,3 +87,11 @@ def csv_splits(tree):
 def test_only_data_splits_csv_text(module):
     # one CSV grammar: every other reader iterates data.read_rows
     assert list(csv_splits(MODULES[module])) == []
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"search"}))
+def test_only_search_reads_a_record_status(module):
+    # one rule for whether an evaluation succeeded: search's, which the trajectory's readers call
+    reads = [f"status (line {node.lineno})" for node in ast.walk(MODULES[module])
+             if isinstance(node, ast.Attribute) and node.attr == "status"]
+    assert reads == []

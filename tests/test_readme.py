@@ -28,7 +28,7 @@ def test_root_exports_exactly_the_library_api_block():
     public = {name for name, value in vars(fewcast).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == listed
-    assert len(listed) == 17
+    assert len(listed) == 16
 
 
 def readme_command(prefix: str) -> list[str]:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fewcast.meta import EvaluationRecord
+from fewcast.meta import EvaluationRecord, PipelineConfig
 from fewcast.rng import derive_seed, spawn
 from fewcast.search import (
     MAX_GRID_RESOLUTION,
     SearchSpace,
+    SearchTrajectory,
     TreeNode,
     backpropagate,
     build_search_space,
@@ -44,6 +45,25 @@ def constant_evaluator(mse=1.0):
         )
 
     return evaluator
+
+
+def record(iteration, test_mse, status="ok"):
+    config = PipelineConfig(
+        family="linear", width=1, inner_lr=0.001, outer_lr=0.001, finetune_lr=0.001, optimizer="sgd"
+    )
+    return EvaluationRecord(
+        iteration=iteration,
+        config=config,
+        val_mse=test_mse,
+        test_mse=test_mse,
+        seed=0,
+        wall_time_ms=0.0,
+        status=status,
+    )
+
+
+def trajectory(*records):
+    return SearchTrajectory(records=records)
 
 
 class TestSearchSpace:
@@ -300,6 +320,34 @@ class TestReward:
     def test_monotone(self):
         values = [reward_from_mse(m) for m in (0.0, 0.1, 1.0, 10.0, 1e9)]
         assert values == sorted(values, reverse=True)
+
+
+class TestTrajectoryAnalytics:
+    def test_running_minimum(self):
+        records = [record(i, m) for i, m in enumerate([3.0, 2.0, 5.0, 1.0])]
+        assert trajectory(*records).best_so_far() == [3.0, 2.0, 2.0, 1.0]
+
+    def test_constant_sequence(self):
+        records = [record(i, 2.0) for i in range(4)]
+        assert trajectory(*records).best_so_far() == [2.0] * 4
+
+    def test_leading_failure_is_infinite(self):
+        records = [record(0, None, status="failed"), record(1, 4.0), record(2, None, status="failed")]
+        curve = trajectory(*records).best_so_far()
+        assert math.isinf(curve[0])
+        assert curve[1:] == [4.0, 4.0]
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            trajectory().best_so_far()
+
+    def test_one_success_rule(self):
+        # an "ok" record without a test MSE counts as failed everywhere the trajectory reads an outcome
+        traj = trajectory(record(0, 3.0), record(1, None), record(2, None, status="failed"), record(3, 2.0, "failed"))
+        assert traj.failed_count() == 3
+        assert traj.best_so_far() == [3.0] * 4
+        assert traj.best_record().iteration == 0
+        assert trajectory(record(0, None, status="failed")).best_record() is None
 
 
 def tree_nodes(root):

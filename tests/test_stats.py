@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from fewcast.meta import EvaluationRecord, PipelineConfig
 from fewcast.stats import (
     EXACT_LIMIT,
     SIGNIFICANCE_LEVEL,
     _average_ranks,
     _median,
     a12,
-    best_so_far,
     categorize_a12,
     compare_samples,
     wilcoxon_signed_rank,
@@ -105,21 +103,6 @@ def paired_case(rng):
         return rng.integers(0, 6, size=n).astype(float), rng.integers(0, 6, size=n).astype(float)
     a = rng.normal(size=n)
     return a, (a + rng.normal(size=n).round(1) if style == 1 else rng.normal(size=n))
-
-
-def record(iteration, test_mse, status="ok"):
-    config = PipelineConfig(
-        family="linear", width=1, inner_lr=0.001, outer_lr=0.001, finetune_lr=0.001, optimizer="sgd"
-    )
-    return EvaluationRecord(
-        iteration=iteration,
-        config=config,
-        val_mse=test_mse,
-        test_mse=test_mse,
-        seed=0,
-        wall_time_ms=0.0,
-        status=status,
-    )
 
 
 class TestA12:
@@ -260,26 +243,6 @@ class TestAgainstTheLoops:
             assert type(got.p_value) is float and type(got.significant) is bool  # a report must stay JSON
             seen.add(0 if n == 0 else "exact" if n <= EXACT_LIMIT else "normal")
         assert seen == {0, "exact", "normal"}
-
-
-class TestTrajectoryAnalytics:
-    def test_running_minimum(self):
-        records = [record(i, m) for i, m in enumerate([3.0, 2.0, 5.0, 1.0])]
-        assert best_so_far(records) == [3.0, 2.0, 2.0, 1.0]
-
-    def test_constant_sequence(self):
-        records = [record(i, 2.0) for i in range(4)]
-        assert best_so_far(records) == [2.0] * 4
-
-    def test_leading_failure_is_infinite(self):
-        records = [record(0, None, status="failed"), record(1, 4.0), record(2, None, status="failed")]
-        curve = best_so_far(records)
-        assert math.isinf(curve[0])
-        assert curve[1:] == [4.0, 4.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            best_so_far([])
 
 
 class TestCompareSamples:
