@@ -233,8 +233,11 @@ def build_bundle(
     cut into a leading validation slice (first 80%, capped so it stays
     disjoint) and a trailing test slice of up to ``DEFAULT_HORIZON`` targets.
     """
-    if any(s.task_id == target_series.task_id for s in train_series):
+    ids = [s.task_id for s in train_series]
+    if target_series.task_id in ids:
         raise DataError(f"target task id {target_series.task_id!r} also appears in the training tasks")
+    if repeated := [task_id for task_id in ids if ids.count(task_id) > 1]:
+        raise DataError(f"training task id {repeated[0]!r} appears more than once")
     target = normalize(target_series)
     target_pairs = make_windows(target, window)
     n = len(target_pairs)

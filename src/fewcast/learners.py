@@ -201,30 +201,20 @@ def loss(spec: LearnerSpec, theta: np.ndarray, data: Windows, average: bool = Fa
     empirical risk.
     """
     X, y = pairs_to_arrays(data)
-    return _squared_error(forward(spec, theta, X) - y, average)
-
-
-def value_and_grad(
-    spec: LearnerSpec, theta: np.ndarray, data: Windows, average: bool = False
-) -> tuple[float, np.ndarray]:
-    """:func:`loss` and :func:`gradient` together, from one forward pass."""
-    X, y = pairs_to_arrays(data)
-    _check_inputs(spec, theta, X)
-    residuals, grad = RESIDUALS_AND_GRADIENTS[spec.family](spec, theta, X, y)
-    return _squared_error(residuals, average), (grad / len(y) if average else grad)
+    residuals = forward(spec, theta, X) - y
+    return float(np.mean(residuals**2)) if average else float(residuals @ residuals)
 
 
 def gradient(spec: LearnerSpec, theta: np.ndarray, data: Windows, average: bool = False) -> np.ndarray:
     """Exact gradient of :func:`loss` with respect to the flat parameters."""
-    return value_and_grad(spec, theta, data, average)[1]
-
-
-def _squared_error(residuals, average):
-    return float(np.mean(residuals**2)) if average else float(residuals @ residuals)
+    X, y = pairs_to_arrays(data)
+    _check_inputs(spec, theta, X)
+    grad = RESIDUALS_AND_GRADIENTS[spec.family](spec, theta, X, y)[1]
+    return grad / len(y) if average else grad
 
 
 # Each _grad_<family> returns the residuals (forecast - y) of its forward
-# pass along with the gradient, so the loss needs no second forward pass.
+# pass along with the gradient: the meta step reads its query loss from them.
 
 
 def _grad_linear(spec, theta, X, y):

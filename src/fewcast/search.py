@@ -194,8 +194,8 @@ def reward_from_mse(mse: float | None) -> float:
 
 
 def _succeeded(record: EvaluationRecord) -> bool:
-    """The one rule for an evaluation's outcome: it succeeded when its status is "ok" and it has a test MSE."""
-    return record.status == "ok" and record.test_mse is not None
+    """The one rule for an evaluation's outcome: it succeeded when its status is "ok" and its test MSE is finite."""
+    return record.status == "ok" and record.test_mse is not None and math.isfinite(record.test_mse)
 
 
 @dataclass(frozen=True)

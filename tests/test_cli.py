@@ -602,6 +602,19 @@ def test_failing_command_prints_one_line_and_writes_nothing(make_argv, code, dat
     assert not out.exists()
 
 
+def test_training_task_repeated_across_files_is_one_data_error(data_dir, checkpoint, tmp_path, capsys):
+    # a task id that two train_*.csv files share once trained twice, silently
+    copy = tmp_path / "repeated"
+    shutil.copytree(data_dir, copy)
+    shutil.copy(copy / "train_00.csv", copy / "train_09.csv")
+    for argv in (["search", "--budget", 2], ["train", *FAST], ["train", "--vanilla", *FAST]):
+        out = tmp_path / "out"
+        assert run(*argv, "--data", copy, "--family", "linear", "--seed", 1, "--out", out) == 3
+        assert capsys.readouterr().err == "data error: training task id 'synthetic-00' appears more than once\n"
+        assert not out.exists()
+    assert run("predict", "--checkpoint", checkpoint, "--data", copy, "--out", tmp_path / "pred") == 0
+
+
 def test_failed_write_leaves_no_truncated_or_temporary_file(tmp_path, monkeypatch, capsys):
     reference = tmp_path / "reference"
     assert run("generate", "--seed", 3, "--tasks", 2, "--out", reference) == 0

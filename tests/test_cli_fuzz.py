@@ -179,9 +179,12 @@ def _case(kind, rng, inputs, work):
         return _mutate_argv(rng, rng.choice(_commands(str(data), str(ckpt), str(results))))
     if kind == "data":
         shutil.copytree(data, work / "data")
-        if rng.random() < 0.1:  # a training task that carries the target's id
+        if rng.random() < 0.1:  # a training task that carries the target's id, or that a second file repeats
             path = work / "data" / "train_00.csv"
-            path.write_text(path.read_text().replace("synthetic-00", "synthetic-target"))
+            if rng.random() < 0.5:
+                path.write_text(path.read_text().replace("synthetic-00", "synthetic-target"))
+            else:
+                shutil.copy(path, work / "data" / "train_02.csv")
         else:
             path = work / "data" / rng.choice(["target.csv", "train_00.csv"])
             path.write_bytes(_mutate_text(rng, path.read_bytes()))

@@ -279,3 +279,9 @@ class TestBundle:
         tasks = generate_synthetic_tasks("synthetic", 2, 168, seed=0)
         with pytest.raises(ValueError):
             build_bundle(tasks, tasks[0], window=24, seed=0)
+
+    def test_repeated_training_id_rejected(self):
+        # as when two train_*.csv files hold one task: its windows would count twice
+        tasks = generate_synthetic_tasks("synthetic", 3, 168, seed=0)
+        with pytest.raises(DataError, match="training task id 'synthetic-00' appears more than once"):
+            build_bundle([tasks[0], tasks[1], tasks[0]], tasks[2], window=24, seed=0)

@@ -2,9 +2,12 @@
 
 No module but ``__init__`` may keep an import it never uses, or a
 module-level private function that no code in the package refers to: the
-orphans a deletion tends to leave behind. The package defines one exception
-class per exit code of the CLI, only ``data`` splits text into CSV lines and
-fields, and only ``search`` reads an evaluation record's status.
+orphans a deletion tends to leave behind. A public module-level function
+needs a reader too: package code, a benchmark or an acceptance test, since an
+entry point that only its own unit tests call is one that nothing uses. The
+package defines one exception class per exit code of the CLI, only ``data``
+splits text into CSV lines and fields, and only ``search`` reads an evaluation
+record's status.
 """
 
 import ast
@@ -16,6 +19,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fewcast"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
 CHECKED = sorted(set(MODULES) - {"__init__"})
+ROOT = PACKAGE.parents[1]
+OUTSIDE_READERS = [ast.parse(path.read_text(encoding="utf-8"))
+                   for path in [*sorted((ROOT / "benchmarks").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]]
 
 
 def bindings(tree):
@@ -59,6 +65,14 @@ def test_no_uncalled_private_function(module):
             if not any(node.name in references(tree, skip=node) for tree in MODULES.values()):
                 orphans.append(f"{node.name} (line {node.lineno})")
     assert orphans == []
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_no_unread_public_function(module):
+    unread = [f"{node.name} (line {node.lineno})" for node in MODULES[module].body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and not any(node.name in references(tree, skip=node) for tree in [*MODULES.values(), *OUTSIDE_READERS])]
+    assert unread == []
 
 
 def test_one_exception_class_per_exit_code():

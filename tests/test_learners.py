@@ -19,7 +19,6 @@ from fewcast.learners import (
     loss,
     n_params,
     optimizer_step,
-    value_and_grad,
 )
 
 
@@ -190,25 +189,12 @@ class TestGradient:
         assert np.allclose(gradient(spec, theta, data, average=True) * 5, gradient(spec, theta, data))
 
     @pytest.mark.parametrize("family,width", [("linear", 1), ("mlp", 6), ("recurrent", 5)])
-    @pytest.mark.parametrize("average", [False, True])
-    def test_value_and_grad_equals_loss_and_gradient(self, family, width, average):
-        # one forward pass gives the same bits as the two separate calls
-        rng = np.random.default_rng(8)
-        spec = LearnerSpec(family, input_dim=4, width=width)
-        theta = init_params(spec, seed=1) + 0.3 * rng.standard_normal(n_params(spec))
-        data = random_pairs(rng, 7, 4)
-        value, grad = value_and_grad(spec, theta, data, average=average)
-        assert value == loss(spec, theta, data, average=average)
-        assert grad.tobytes() == gradient(spec, theta, data, average=average).tobytes()
-
-    @pytest.mark.parametrize("family,width", [("linear", 1), ("mlp", 6), ("recurrent", 5)])
     def test_windows_of_another_width_rejected(self, family, width):
         # as forward and loss reject them: a recurrent spec once took these (5, 7) windows silently
         spec = LearnerSpec(family, input_dim=3, width=width)
         theta, data = init_params(spec, seed=0), random_pairs(np.random.default_rng(0), 5, 7)
-        for call in (gradient, value_and_grad):
-            with pytest.raises(ValueError, match=re.escape("inputs have shape (5, 7); spec requires (n, 3)")):
-                call(spec, theta, data)
+        with pytest.raises(ValueError, match=re.escape("inputs have shape (5, 7); spec requires (n, 3)")):
+            gradient(spec, theta, data)
 
 
 def out_of_place_mlp(spec, theta, X, y):
@@ -232,7 +218,7 @@ def test_in_place_mlp_pass_keeps_the_out_of_place_bits(width, batch):
     X, y = rng.standard_normal((batch, 24)), rng.standard_normal(batch)
     yhat, residuals, grad = out_of_place_mlp(spec, theta, X, y)
     got_residuals, got_grad = learners._grad_mlp(spec, theta, X, y)
-    value, _ = value_and_grad(spec, theta, pairs_from(X, y))
+    value = loss(spec, theta, pairs_from(X, y))
     assert forward(spec, theta, X).tobytes() == yhat.tobytes()
     assert got_residuals.tobytes() == residuals.tobytes()
     assert np.float64(value).tobytes() == np.float64(residuals @ residuals).tobytes()
@@ -256,10 +242,10 @@ def test_stacked_and_broadcast_passes_keep_the_per_task_bits(family, width, batc
             yhats = forward_pass(spec, stack, X)
             residuals, grads = gradient_pass(spec, stack, X, y)
             for k, theta in enumerate(np.broadcast_to(stack, thetas.shape)):
-                value, grad = value_and_grad(spec, theta.copy(), pairs_from(X[k], y[k]))
+                pairs = pairs_from(X[k], y[k])
                 assert yhats[k].tobytes() == forward(spec, theta, X[k]).tobytes()
-                assert np.float64(residuals[k] @ residuals[k]).tobytes() == np.float64(value).tobytes()
-                assert grads[k].tobytes() == grad.tobytes()
+                assert np.float64(residuals[k] @ residuals[k]).tobytes() == np.float64(loss(spec, theta, pairs)).tobytes()
+                assert grads[k].tobytes() == gradient(spec, theta.copy(), pairs).tobytes()
 
 
 def concatenated_linear(spec, theta, X, y):

@@ -25,7 +25,6 @@ from fewcast.learners import (
     init_params,
     loss,
     optimizer_step,
-    value_and_grad,
 )
 from fewcast.meta import (
     EvaluationRecord,
@@ -85,29 +84,11 @@ def draw_episodes(seed, iterations, tasks, n_pick, shots):
         ]
 
 
-def per_pair_meta_train(spec, cfg, tasks, seed):
-    """Oracle for ``meta_train`` with every task per iteration and one inner
-    step: the sampled rows are collected into lists of pairs, and each query
-    set's loss and gradient are taken in separate passes."""
-    theta = init_params(spec, derive_seed(seed, "meta-init"))
-    state = init_optimizer(cfg.optimizer, theta.size)
-    curve = []
-    for it, episodes in enumerate(draw_episodes(seed, cfg.meta_iterations, tasks, len(tasks), cfg.shots)):
-        total, value = np.zeros_like(theta), 0.0
-        for task, support_rows, query_rows in episodes:
-            support = [task.support[int(i)] for i in support_rows]
-            query = [task.query[int(i)] for i in query_rows]
-            theta_k = inner_adapt(spec, theta, support, cfg.inner_lr)
-            total += gradient(spec, theta_k, query)
-            value += loss(spec, theta_k, query)
-        theta, state = optimizer_step(state, theta, total, cfg.outer_lr)
-        curve.append((it, value))
-    return theta, curve
-
-
-def per_task_meta_train(spec, cfg, tasks, seed):
-    """Oracle for ``meta_train``: ``inner_adapt`` and ``value_and_grad`` on
-    each picked task's drawn rows ``pool[idx]``, one task at a time."""
+def per_task_meta_train(spec, cfg, tasks, seed, pairs=False):
+    """Oracle for ``meta_train``: ``inner_adapt`` on each picked task's drawn
+    support rows, then ``loss`` and ``gradient`` on its drawn query rows, one
+    task at a time. The rows are ``pool[idx]``, or with ``pairs`` set, lists of
+    pairs that the learners stack per call."""
     theta = init_params(spec, derive_seed(seed, "meta-init"))
     state = init_optimizer(cfg.optimizer, theta.size)
     curve = []
@@ -115,10 +96,12 @@ def per_task_meta_train(spec, cfg, tasks, seed):
     for it, episodes in enumerate(draw_episodes(seed, cfg.meta_iterations, tasks, n_pick, cfg.shots)):
         total, value = np.zeros_like(theta), 0.0
         for task, support_rows, query_rows in episodes:
-            theta_k = inner_adapt(spec, theta, task.support[support_rows], cfg.inner_lr, cfg.inner_steps)
-            task_loss, task_grad = value_and_grad(spec, theta_k, task.query[query_rows])
-            total += task_grad
-            value += task_loss
+            support, query = task.support[support_rows], task.query[query_rows]
+            if pairs:
+                support, query = list(support), list(query)
+            theta_k = inner_adapt(spec, theta, support, cfg.inner_lr, cfg.inner_steps)
+            total += gradient(spec, theta_k, query)
+            value += loss(spec, theta_k, query)
         theta, state = optimizer_step(state, theta, total, cfg.outer_lr)
         curve.append((it, value))
     return theta, curve
@@ -234,8 +217,8 @@ class TestOuterStep:
 
     @pytest.mark.parametrize("family", ["linear", "mlp", "recurrent"])
     def test_unequal_pools_match_per_task_oracle(self, tmp_path, family):
-        # pools of 115/77/58 support and 29/19/14 query rows, used whole: inner_adapt
-        # and value_and_grad on each task, summed in task order, give the same bits
+        # pools of 115/77/58 support and 29/19/14 query rows, used whole: inner_adapt, then
+        # loss and gradient on each task, summed in task order, give the same bits
         tasks = unequal_bundle(tmp_path).train_tasks
         spec = LearnerSpec(family, input_dim=24, width=8)
         cfg = cfg_sgd(inner_lr=0.003, outer_lr=0.002, optimizer="adam", inner_steps=2)
@@ -243,9 +226,8 @@ class TestOuterStep:
         total, value = np.zeros_like(theta), 0.0
         for task in tasks:
             adapted = inner_adapt(spec, theta, task.support, cfg.inner_lr, cfg.inner_steps)
-            task_loss, task_grad = value_and_grad(spec, adapted, task.query)
-            total += task_grad
-            value += task_loss
+            total += gradient(spec, adapted, task.query)
+            value += loss(spec, adapted, task.query)
         expected, _ = optimizer_step(init_optimizer("adam", theta.size), theta, total, cfg.outer_lr)
         got, _, got_value = outer_step(spec, theta, tasks, cfg, init_optimizer("adam", theta.size))
         assert got.tobytes() == expected.tobytes()
@@ -267,8 +249,10 @@ class TestMetaTrain:
         spec = LearnerSpec("mlp", input_dim=24, width=16)
         cfg = cfg_sgd(meta_iterations=5, shots=5, optimizer="adam")
         runs = []
-        for train, validation in ((meta_train, bundle.validation), (per_pair_meta_train, list(bundle.validation))):
-            theta, curve = train(spec, cfg, bundle.train_tasks, seed=3)
+        for (theta, curve), validation in (
+            (meta_train(spec, cfg, bundle.train_tasks, seed=3), bundle.validation),
+            (per_task_meta_train(spec, cfg, bundle.train_tasks, seed=3, pairs=True), list(bundle.validation)),
+        ):
             theta = fine_tune(spec, theta, validation, finetune_lr=0.01, steps=2, optimizer=cfg.optimizer)
             runs.append((theta.tobytes(), curve))
         assert runs[0] == runs[1]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -348,6 +349,13 @@ class TestTrajectoryAnalytics:
         assert traj.best_so_far() == [3.0] * 4
         assert traj.best_record().iteration == 0
         assert trajectory(record(0, None, status="failed")).best_record() is None
+        # so does an "ok" record whose test MSE is not finite, as reward_from_mse scores a NaN
+        mses = iter([math.nan, 0.5, 0.2, math.inf])
+        _, traj = search(build_search_space("linear", grid_resolution=3), None, budget=4, seed=0,
+                         evaluator=lambda config, bundle, seed: replace(record(-1, next(mses)), config=config))
+        assert traj.best_record().test_mse == 0.2
+        assert traj.best_so_far() == [math.inf, 0.5, 0.2, 0.2]
+        assert traj.failed_count() == 2
 
 
 def tree_nodes(root):
