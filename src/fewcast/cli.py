@@ -45,7 +45,6 @@ from .data import (
 from .learners import (
     FAMILIES,
     LearnerSpec,
-    NUMERIC_FAILURES,
     NumericError,
     OPTIMIZERS,
     dump_params,
@@ -450,7 +449,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except NUMERIC_FAILURES as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

@@ -297,7 +297,7 @@ def load_csv(path) -> list[TimeSeries]:
     """Parse a task CSV into one TimeSeries per task_id, ordered by timestamp.
 
     Raises :class:`DataError` naming the offending line, or the file when it
-    holds no data rows.
+    holds no data rows or a task's timestamps are not consecutive.
     """
     rows: dict[str, dict[int, float]] = {}
     for lineno, (task_id, ts_text, value_text) in read_rows(path, CSV_HEADER):
@@ -321,6 +321,10 @@ def load_csv(path) -> list[TimeSeries]:
     for task_id, stamped in rows.items():
         if not math.isfinite(max(stamped.values()) - min(stamped.values())):  # normalize divides by this span
             raise DataError(f"{path}: the values of task {task_id!r} span more than a float64 can hold")
-        values = np.array([stamped[t] for t in sorted(stamped)], dtype=np.float64)
+        hours = range(min(stamped), min(stamped) + len(stamped))
+        if max(stamped) != hours[-1]:  # no duplicates, so a later last timestamp means a gap
+            missing = next(t for t in hours if t not in stamped)
+            raise DataError(f"{path}: task {task_id!r} has no value at timestamp {missing}")
+        values = np.array([stamped[t] for t in hours], dtype=np.float64)
         out.append(TimeSeries(task_id=task_id, values=values))
     return out

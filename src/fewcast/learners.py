@@ -48,10 +48,7 @@ CHUNK = 8  # recurrent time steps per cache buffer; the backward contracts each 
 
 
 class NumericError(ArithmeticError):
-    """Non-finite values encountered during optimization."""
-
-
-NUMERIC_FAILURES = (NumericError, FloatingPointError, OverflowError)  # a reward-0 evaluation; exit 4 in the CLI
+    """Non-finite values encountered during optimization. The one failure: a reward-0 evaluation, exit 4 in the CLI."""
 
 
 @dataclass(frozen=True)
@@ -339,13 +336,12 @@ def optimizer_step(
         sq += ADAM_EPS
         new *= lr
         new /= sq
-    elif kind == "adadelta":  # delta = -sqrt(d + eps) / sqrt(s + eps) * grad; theta + lr * delta
+    elif kind == "adadelta":  # theta - lr * delta, delta = sqrt(d + eps) / sqrt(s + eps) * grad
         s, sq = np.multiply(ADADELTA_RHO, state.acc[0]), np.square(grad)
         sq *= 1.0 - ADADELTA_RHO
         s += sq
         new = np.add(state.acc[1], ADADELTA_EPS)
         np.sqrt(new, out=new)
-        np.negative(new, out=new)
         np.add(s, ADADELTA_EPS, out=sq)
         np.sqrt(sq, out=sq)
         new /= sq
@@ -355,7 +351,7 @@ def optimizer_step(
         sq *= 1.0 - ADADELTA_RHO
         d += sq
         new *= lr
-        return np.add(theta, new, out=new), OptimizerState(kind, t, (s, d))
+        acc = (s, d)
     else:  # rmsprop and adagrad: theta - lr * grad / (sqrt(s) + eps)
         sq = np.square(grad)
         if kind == "rmsprop":

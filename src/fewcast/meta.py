@@ -37,7 +37,6 @@ import numpy as np
 from .data import DataBundle, TaskDataset, Windows
 from .learners import (
     LearnerSpec,
-    NUMERIC_FAILURES,
     NumericError,
     OPTIMIZERS,
     RESIDUALS_AND_GRADIENTS,
@@ -323,14 +322,14 @@ def evaluate_pipeline(
     seed: int,
     settings: MetaConfig = MetaConfig(),
 ) -> EvaluationRecord:
-    """Evaluate one configuration end to end; numeric divergence becomes a
-    reward-0 record rather than an exception so the upper-level search
-    survives divergent learning rates. Any other error propagates."""
+    """Evaluate one configuration end to end; a NumericError becomes a "failed"
+    record rather than an exception so the upper-level search survives
+    divergent learning rates. Any other error propagates."""
     start = time.perf_counter()
     try:
         result, test_mse = train_pipeline(config, bundle, seed, settings)
         val_mse, status = result.val_mse, "ok"
-    except NUMERIC_FAILURES:
+    except NumericError:
         val_mse, test_mse, status = None, None, "failed"
     wall_ms = (time.perf_counter() - start) * 1000.0
     return EvaluationRecord(

@@ -184,11 +184,9 @@ def backpropagate(path: list[TreeNode], reward: float, config: PipelineConfig) -
             stat[1] += reward
 
 
-def reward_from_mse(mse: float | None) -> float:
-    """Monotone map from error to a bounded reward: 1/(1+mse); failures get 0."""
-    if mse is None or math.isnan(mse):
-        return 0.0
-    if mse < 0:
+def reward_from_mse(mse: float) -> float:
+    """Monotone map from a non-negative error to a bounded reward: 1/(1+mse)."""
+    if not mse >= 0:
         raise ValueError(f"mse must be non-negative, got {mse}")
     return 1.0 / (1.0 + mse)
 
@@ -249,7 +247,7 @@ def _run(propose, bundle, budget: int, seed: int, evaluator, settings: MetaConfi
     for it in range(budget):
         path, config = propose()
         record = replace(evaluator(config, bundle, derive_seed(seed, "eval", it)), iteration=it)
-        backpropagate(path, reward_from_mse(record.test_mse if _succeeded(record) else None), config)
+        backpropagate(path, reward_from_mse(record.test_mse) if _succeeded(record) else 0.0, config)
         records.append(record)
     trajectory = SearchTrajectory(records=tuple(records))
     best = trajectory.best_record()

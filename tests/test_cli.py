@@ -378,6 +378,15 @@ class TestTrain:
         assert proc.returncode == 4
         assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
 
+    def test_arithmetic_bug_is_not_a_numeric_failure(self, data_dir, tmp_path, monkeypatch):
+        # exit 4 is NumericError's: any other ArithmeticError is a bug, and escapes main with its traceback
+        def broken(*args, **kwargs):
+            raise FloatingPointError("arithmetic bug")
+
+        monkeypatch.setattr(fewcast.cli, "train_pipeline", broken)
+        with pytest.raises(FloatingPointError, match="arithmetic bug"):
+            run("train", "--data", data_dir, "--family", "linear", "--seed", 1, "--out", tmp_path / "t", *FAST)
+
     def test_same_seed_identical_checkpoints(self, data_dir, tmp_path):
         outs = []
         for name in ("c1", "c2"):
@@ -505,6 +514,17 @@ def _training_task_named_like_the_target(tmp, data, ckpt):
     return ["search", "--data", copy, "--family", "linear", "--budget", 2, "--seed", 1]
 
 
+def _missing_an_hour(name, command):
+    """``command(directory, checkpoint)`` on a copy of the generated data whose ``name`` lacks its line 50."""
+    def argv(tmp, data, ckpt):
+        copy = tmp / "gap"
+        shutil.copytree(data, copy)
+        lines = (copy / name).read_text().splitlines(keepends=True)
+        (copy / name).write_text("".join(lines[:49] + lines[50:]))
+        return command(copy, ckpt)
+    return argv
+
+
 def _set_extra(key, value):
     return lambda header, payload: ({**header, "extra": {**header["extra"], key: value}}, payload)
 
@@ -557,6 +577,11 @@ def _drop(key):
             ]
         ],
         pytest.param(_training_task_named_like_the_target, 3, id="training-task-named-like-the-target"),
+        pytest.param(_missing_an_hour("train_00.csv", lambda d, ckpt: ["train", "--data", d, "--family", "linear",
+                                                                       "--seed", 1, *FAST]),
+                     3, id="training-file-missing-an-hour"),
+        pytest.param(_missing_an_hour("target.csv", lambda d, ckpt: ["predict", "--checkpoint", ckpt, "--data", d]),
+                     3, id="target-missing-an-hour"),
         pytest.param(_predict_edited_checkpoint(lambda h, p: (h, p[:-3])), 3, id="checkpoint-ragged-payload"),
         pytest.param(_predict_edited_checkpoint(lambda h, p: ([h], p)), 3, id="checkpoint-header-not-object"),
         *[

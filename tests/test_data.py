@@ -240,6 +240,16 @@ class TestCsv:
         out = load_csv(path)
         assert np.array_equal(out[0].values, [1.0, 2.0, 3.0])
 
+    def test_timestamp_gap_rejected(self, tmp_path):
+        # once loaded as the one series [1, 2, 3, 4], its windows spanning the missing hours
+        path = tmp_path / "gap.csv"
+        path.write_text("task_id,timestamp,value\nt,0,1.0\nt,1,2.0\nt,10,3.0\nt,11,4.0\n")
+        with pytest.raises(DataError, match=r"gap\.csv: task 't' has no value at timestamp 2$"):
+            load_csv(path)
+        # a shuffled file with every hour from its first one loads in order
+        path.write_text("task_id,timestamp,value\nt,12,3.0\nu,0,9.0\nt,10,1.0\nt,11,2.0\n")
+        assert [s.values.tolist() for s in load_csv(path)] == [[1.0, 2.0, 3.0], [9.0]]
+
     def test_round_trip_exact(self, tmp_path):
         tasks = generate_synthetic_tasks("wind", 3, 168, seed=11)
         path = tmp_path / "h.csv"

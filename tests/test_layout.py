@@ -5,9 +5,10 @@ module-level private function that no code in the package refers to: the
 orphans a deletion tends to leave behind. A public module-level function
 needs a reader too: package code, a benchmark or an acceptance test, since an
 entry point that only its own unit tests call is one that nothing uses. The
-package defines one exception class per exit code of the CLI, only ``data``
-splits text into CSV lines and fields, and only ``search`` reads an evaluation
-record's status.
+package defines one exception class per exit code of the CLI, and its except
+clauses list exception classes only, ``NumericError`` the one
+``ArithmeticError`` among them. Only ``data`` splits text into CSV lines and
+fields, and only ``search`` reads an evaluation record's status.
 """
 
 import ast
@@ -75,16 +76,41 @@ def test_no_unread_public_function(module):
     assert unread == []
 
 
+# each class the package defines, with the last dotted part of each of its bases
+BASES = {node.name: {ast.unparse(base).split(".")[-1] for base in node.bases}
+         for tree in MODULES.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def builtin_exception(name):
+    """The builtin exception class that ``name`` is, or derives from if the package defines it; None when
+    ``name`` is no exception class."""
+    if name == "json.JSONDecodeError":
+        return ValueError
+    if name in BASES:
+        return next(filter(None, map(builtin_exception, sorted(BASES[name]))), None)
+    value = getattr(builtins, name, None)
+    return value if isinstance(value, type) and issubclass(value, BaseException) else None
+
+
 def test_one_exception_class_per_exit_code():
     # 2 usage, 3 data, 4 numeric: a further type would be a second name for one of them
-    bases = {node.name: {ast.unparse(base).split(".")[-1] for base in node.bases}
-             for tree in MODULES.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
-    exceptions = set()
-    while derived := {name for name, names in bases.items() if name not in exceptions and any(
-            base in exceptions or isinstance(getattr(builtins, base, None), type)
-            and issubclass(getattr(builtins, base), BaseException) for base in names)}:
-        exceptions |= derived
-    assert sorted(exceptions) == ["DataError", "NumericError", "UsageError"]
+    assert sorted(name for name in BASES if builtin_exception(name)) == ["DataError", "NumericError", "UsageError"]
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_except_clauses_catch_no_arithmetic_error_but_numeric_error(module):
+    # NumericError is the one failure, a reward-0 evaluation and exit 4: a clause that caught another
+    # ArithmeticError, or a name bound to a tuple of them, would record a bug as a failed evaluation
+    wrong = []
+    for node in ast.walk(MODULES[module]):
+        if isinstance(node, ast.ExceptHandler):
+            listed = node.type or ast.Name("BaseException")  # what a bare except catches
+            for name in map(ast.unparse, listed.elts if isinstance(listed, ast.Tuple) else [listed]):
+                caught = builtin_exception(name)
+                if caught is None or name != "NumericError" and (
+                        issubclass(caught, ArithmeticError) or issubclass(ArithmeticError, caught)):
+                    wrong.append(f"{name} (line {node.lineno})")
+    assert wrong == []
 
 
 def csv_splits(tree):

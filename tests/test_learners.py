@@ -417,11 +417,13 @@ class TestOptimizers:
     @pytest.mark.parametrize("size", [1, 25, 1000])
     @pytest.mark.parametrize("kind", OPTIMIZERS)
     def test_updates_keep_the_out_of_place_bits(self, kind, size):
-        # 60 steps at random learning rates in [1e-4, 0.5], gradient magnitudes spanning 1e-8 to 1e3 and both signs
+        # 60 steps at random learning rates in [1e-4, 0.5], gradient magnitudes spanning 1e-8 to 1e3 and both signs,
+        # a tenth of the entries an exact +0.0 or -0.0
         rng = np.random.default_rng(OPTIMIZERS.index(kind) * 10 + size)
         state, theta = init_optimizer(kind, size), rng.standard_normal(size)
         for step in range(60):
-            grad = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 3, size)
+            magnitude = np.where(rng.random(size) < 0.1, 0.0, 10.0 ** rng.uniform(-8, 3, size))
+            grad = rng.choice([-1.0, 1.0], size) * magnitude
             lr = float(rng.uniform(1e-4, 0.5))
             expected_theta, expected_acc = out_of_place_step(state, theta, grad, lr)
             theta, state = optimizer_step(state, theta, grad, lr)

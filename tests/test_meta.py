@@ -590,6 +590,17 @@ class TestEvaluatePipeline:
         with pytest.raises(ValueError, match="shape bug"):
             search(build_search_space("linear"), bundle, budget=1, seed=0, settings=MetaConfig(meta_iterations=1))
 
+    @pytest.mark.parametrize("error", [OverflowError, FloatingPointError])
+    def test_arithmetic_errors_propagate_out_of_search(self, monkeypatch, error):
+        # NumericError is the one failure: any other ArithmeticError is a bug, never a reward-0 record
+        def broken(*args, **kwargs):
+            raise error("arithmetic bug")
+
+        monkeypatch.setattr(meta, "fine_tune", broken)
+        bundle, _ = synthetic_bundle()
+        with pytest.raises(error, match="arithmetic bug"):
+            search(build_search_space("linear"), bundle, budget=1, seed=0, settings=MetaConfig(meta_iterations=1))
+
     def test_beats_predict_the_mean(self):
         # Oracle: the predict-the-mean baseline scores exactly the series
         # variance; a trained pipeline must do better. The minimum learning

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fewcast.meta import EvaluationRecord, PipelineConfig
+from fewcast.meta import EvaluationRecord, MetaConfig, PipelineConfig
 from fewcast.rng import derive_seed, spawn
 from fewcast.search import (
     MAX_GRID_RESOLUTION,
     SearchSpace,
     SearchTrajectory,
     TreeNode,
+    _run,
     backpropagate,
     build_search_space,
     config_from_choices,
@@ -312,15 +313,26 @@ class TestReward:
     def test_endpoints(self):
         assert reward_from_mse(0.0) == 1.0
         assert reward_from_mse(1.0) == 0.5
-        assert reward_from_mse(None) == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             reward_from_mse(-0.1)
 
+    def test_nan_rejected(self):
+        # a failure is the search loop's to score, through _succeeded; the map takes errors only
+        with pytest.raises(ValueError, match="non-negative"):
+            reward_from_mse(math.nan)
+
     def test_monotone(self):
         values = [reward_from_mse(m) for m in (0.0, 0.1, 1.0, 10.0, 1e9)]
         assert values == sorted(values, reverse=True)
+
+    def test_search_loop_rewards_successes_only(self):
+        # _succeeded rejects the NaN and inf records, which add a visit and reward 0
+        root, config, mses = TreeNode(level=0), record(-1, 0.0).config, iter([math.nan, 0.5, 0.2, math.inf])
+        _run(lambda: ([root], config), None, 4, 0, lambda cfg, bundle, seed: record(-1, next(mses)), MetaConfig())
+        assert root.visit_count == 4
+        assert root.total_reward == 1 / 1.5 + 1 / 1.2
 
 
 class TestTrajectoryAnalytics:
@@ -349,7 +361,7 @@ class TestTrajectoryAnalytics:
         assert traj.best_so_far() == [3.0] * 4
         assert traj.best_record().iteration == 0
         assert trajectory(record(0, None, status="failed")).best_record() is None
-        # so does an "ok" record whose test MSE is not finite, as reward_from_mse scores a NaN
+        # so does an "ok" record whose test MSE is not finite
         mses = iter([math.nan, 0.5, 0.2, math.inf])
         _, traj = search(build_search_space("linear", grid_resolution=3), None, budget=4, seed=0,
                          evaluator=lambda config, bundle, seed: replace(record(-1, next(mses)), config=config))
