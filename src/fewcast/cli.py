@@ -274,7 +274,7 @@ def cmd_search(args) -> dict:
         return {
             "trajectory.jsonl": trajectory.to_jsonl(),
             "plot.csv": _lines(["iteration,best_so_far_mse"] + plot_rows),
-            "timings.json": json.dumps(timings) + "\n",
+            "timings.json": json.dumps(timings, allow_nan=False) + "\n",
             "summary.json": _json(summary),
         }, best.test_mse if best else math.inf
 
@@ -324,7 +324,8 @@ def cmd_predict(args) -> dict:
         scaled = normalize(target, scaler)
         windows = make_windows(scaled, spec.input_dim)
         if len(windows) - 1 < args.horizon:  # the first window stays unforecast, as in a training bundle
-            raise DataError(f"target holds {len(windows) - 1} forecast steps; --horizon asks for {args.horizon}")
+            raise DataError(f"{Path(args.data) / 'target.csv'}: holds {len(windows) - 1} forecast steps; "
+                            f"--horizon asks for {args.horizon}")
         X = windows.X[-args.horizon :]
         if args.recursive:  # each forecast becomes the newest lag of the next row
             y_pred, row = np.empty(len(X)), X[:1].copy()

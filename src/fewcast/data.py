@@ -238,11 +238,12 @@ def build_bundle(
         raise DataError(f"target task id {target_series.task_id!r} also appears in the training tasks")
     if repeated := [task_id for task_id in ids if ids.count(task_id) > 1]:
         raise DataError(f"training task id {repeated[0]!r} appears more than once")
+    for s in (target_series, *train_series):  # 2 windows: the target's validation and test, a task's support and query
+        if s.values.size < window + 2:
+            raise DataError(f"series {s.task_id!r} has {s.values.size} values; needs at least {window + 2}")
     target = normalize(target_series)
     target_pairs = make_windows(target, window)
     n = len(target_pairs)
-    if n < 2:
-        raise DataError("target series too short to carve validation and test slices")
     n_test = min(DEFAULT_HORIZON, n - 1)
     n_val = min(round(SUPPORT_FRACTION * n), n - n_test)
     tasks = []

@@ -296,12 +296,21 @@ class OptimizerState:
 
 
 _N_ACCUMULATORS = {"sgd": 0, "adam": 2, "rmsprop": 1, "adadelta": 2, "adagrad": 1}
+_EPS = {"adam": ADAM_EPS, "rmsprop": RMSPROP_EPS, "adagrad": ADAGRAD_EPS}  # the eps of sqrt(v) + eps
 
 
 def init_optimizer(kind: str, size: int) -> OptimizerState:
     if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {kind!r}; expected one of {OPTIMIZERS}")
     return OptimizerState(kind=kind, step=0, acc=tuple(np.zeros(size) for _ in range(_N_ACCUMULATORS[kind])))
+
+
+def _decay(rate, acc, x, scratch):
+    """rate * acc + (1 - rate) * x in a fresh buffer, rounded as that expression; (1 - rate) * x is written to
+    ``scratch``, which may be ``x`` itself."""
+    average = np.multiply(rate, acc)
+    average += np.multiply(1.0 - rate, x, out=scratch)
+    return average
 
 
 def optimizer_step(
@@ -319,50 +328,35 @@ def optimizer_step(
         raise NumericError(f"non-finite gradient at coordinate {int(np.flatnonzero(~np.isfinite(grad))[0])}")
 
     # Each update is its out-of-place expression in the same operation order, built in fresh buffers: ``new`` is
-    # the returned vector, ``sq`` scratch (grad**2 is np.square(grad)).
+    # the returned vector, ``sq`` grad**2 (np.square(grad)) and then scratch.
     t, kind = state.step + 1, state.kind
+    sq = None if kind == "sgd" else np.square(grad)
     if kind == "sgd":
         new, acc = np.multiply(lr, grad), ()
-    elif kind == "adam":  # theta - lr * (m / (1 - b1**t)) / (sqrt(s / (1 - b2**t)) + eps)
-        m, s = np.multiply(ADAM_BETA1, state.acc[0]), np.multiply(ADAM_BETA2, state.acc[1])
-        sq = np.multiply(1.0 - ADAM_BETA1, grad)
-        m += sq
-        np.square(grad, out=sq)
-        sq *= 1.0 - ADAM_BETA2
-        s += sq
-        new, acc = np.divide(m, 1.0 - ADAM_BETA1**t), (m, s)
-        np.divide(s, 1.0 - ADAM_BETA2**t, out=sq)
-        np.sqrt(sq, out=sq)
-        sq += ADAM_EPS
-        new *= lr
-        new /= sq
     elif kind == "adadelta":  # theta - lr * delta, delta = sqrt(d + eps) / sqrt(s + eps) * grad
-        s, sq = np.multiply(ADADELTA_RHO, state.acc[0]), np.square(grad)
-        sq *= 1.0 - ADADELTA_RHO
-        s += sq
+        s = _decay(ADADELTA_RHO, state.acc[0], sq, sq)
         new = np.add(state.acc[1], ADADELTA_EPS)
         np.sqrt(new, out=new)
         np.add(s, ADADELTA_EPS, out=sq)
         np.sqrt(sq, out=sq)
         new /= sq
         new *= grad
-        d = np.multiply(ADADELTA_RHO, state.acc[1])
         np.square(new, out=sq)
-        sq *= 1.0 - ADADELTA_RHO
-        d += sq
+        acc = (s, _decay(ADADELTA_RHO, state.acc[1], sq, sq))
         new *= lr
-        acc = (s, d)
-    else:  # rmsprop and adagrad: theta - lr * grad / (sqrt(s) + eps)
-        sq = np.square(grad)
-        if kind == "rmsprop":
-            s, eps = np.multiply(RMSPROP_RHO, state.acc[0]), RMSPROP_EPS
-            sq *= 1.0 - RMSPROP_RHO
-            s += sq
-        else:
-            s, eps = np.add(state.acc[0], sq), ADAGRAD_EPS
-        new, acc = np.multiply(lr, grad), (s,)
-        np.sqrt(s, out=sq)
-        sq += eps
+    else:  # adam, rmsprop and adagrad: theta - lr * u / (sqrt(v) + eps)
+        if kind == "adam":  # u = m / (1 - b1**t), v = s / (1 - b2**t)
+            s = _decay(ADAM_BETA2, state.acc[1], sq, sq)  # before m, whose (1 - b1) * grad overwrites sq
+            acc = (_decay(ADAM_BETA1, state.acc[0], grad, sq), s)
+            new = np.divide(acc[0], 1.0 - ADAM_BETA1**t)
+            new *= lr
+            v = np.divide(s, 1.0 - ADAM_BETA2**t, out=sq)
+        else:  # u = grad, v = s
+            v = _decay(RMSPROP_RHO, state.acc[0], sq, sq) if kind == "rmsprop" else np.add(state.acc[0], sq)
+            acc = (v,)
+            new = np.multiply(lr, grad)
+        np.sqrt(v, out=sq)
+        sq += _EPS[kind]
         new /= sq
     return np.subtract(theta, new, out=new), OptimizerState(kind, t, acc)
 
@@ -382,7 +376,7 @@ def dump_params(spec: LearnerSpec, theta: np.ndarray, target_norm: tuple[float, 
         "extra": {"target_norm": None if target_norm is None else list(target_norm), "window": spec.input_dim},
     }
     blob = np.ascontiguousarray(theta, dtype="<f8").tobytes()
-    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + blob
+    return json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8") + b"\n" + blob
 
 
 def load_params(path) -> tuple[LearnerSpec, np.ndarray, tuple[float, float] | None]:

@@ -136,10 +136,10 @@ class EvaluationRecord:
     status: str  # "ok" or "failed"
 
     def to_json(self) -> str:
-        """The record as sorted-key JSON without ``wall_time_ms``, so equal runs give equal bytes."""
+        """The record as sorted-key strict JSON without ``wall_time_ms``, so equal runs give equal bytes."""
         payload = {**vars(self), "config": self.config.to_dict()}
         del payload["wall_time_ms"]
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 def inner_adapt(

@@ -152,7 +152,7 @@ def maybe_expand(node: TreeNode, space: SearchSpace, rng) -> TreeNode | None:
 
     def rank(option: int):
         stat = node.amaf_stats.get(option)
-        if stat is None or stat[0] == 0:
+        if stat is None:
             return (0, 0.0, -shuffle_rank[option])
         return (1, stat[1] / stat[0], -shuffle_rank[option])
 

@@ -302,6 +302,32 @@ def test_training_series_of_window_plus_two_values_trains(argv, data_dir, tmp_pa
     assert run(*argv, "--data", data, "--seed", 1, *FAST, "--out", tmp_path / "x") == 0
 
 
+@pytest.mark.parametrize("name, task_id", [("train_01.csv", "synthetic-01"), ("target.csv", "synthetic-target")])
+@pytest.mark.parametrize("values", [DEFAULT_WINDOW, DEFAULT_WINDOW + 1])
+def test_series_below_window_plus_two_values_is_one_data_error_naming_it(name, task_id, values, data_dir, tmp_path,
+                                                                         capsys):
+    # a training task needs a support and a query window, the target a validation and a test window
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    rows = (data / name).read_text().splitlines()
+    (data / name).write_text("\n".join(rows[: 1 + values]) + "\n")
+    for argv in (["search", "--budget", 2], ["train", *FAST], ["train", "--vanilla", *FAST]):
+        out = tmp_path / "out"
+        assert run(*argv, "--data", data, "--family", "linear", "--seed", 1, "--out", out) == 3
+        expected = f"data error: series {task_id!r} has {values} values; needs at least {DEFAULT_WINDOW + 2}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+
+def test_horizon_above_the_target_is_one_data_error_naming_its_file(checkpoint, data_dir, tmp_path, capsys):
+    # 168 generated hours hold 143 forecast steps at 24 lags: the first window stays unforecast
+    out = tmp_path / "out"
+    assert run("predict", "--checkpoint", checkpoint, "--data", data_dir, "--horizon", 200, "--out", out) == 3
+    expected = f"data error: {data_dir / 'target.csv'}: holds 143 forecast steps; --horizon asks for 200\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 class TestTrain:
     def test_fixed_defaults_accepted_verbatim(self, data_dir, tmp_path):
         # width 512, rates 0.01 / 0.001 / 0.05, sgd

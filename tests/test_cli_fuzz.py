@@ -6,9 +6,10 @@ case must end in a known exit code (0 success, 2 usage, 3 data, 4 numeric)
 without an escaping exception; a success must write only finite forecasts
 and strict JSON, and a failure must print exactly one stderr line and write
 nothing. A warning counts as a stderr line, since a console run
-prints it. A case of an even index that exits 0 and writes files must write
-them again, byte for byte, when rerun from ``--config`` of its own
-``manifest.json`` into a new ``--out``.
+prints it. A data error from a mutated data file must name that file or
+quote a task id it holds. A case of an even index that exits 0 and writes
+files must write them again, byte for byte, when rerun from ``--config`` of
+its own ``manifest.json`` into a new ``--out``.
 
 The cases are drawn from ``random.Random`` with fixed seeds, and every valid
 value they can reach keeps a command cheap (linear learners, tiny budgets):
@@ -211,6 +212,16 @@ def _case(kind, rng, inputs, work):
     return ["compare", str(results), str(work / "run")]
 
 
+def _names_its_input(err, data, work):
+    """Whether a data error names a file of ``work`` that differs from its namesake in ``data``, or quotes a task id
+    that such a file holds."""
+    changed = [path for path in sorted(work.iterdir())
+               if not (data / path.name).exists() or path.read_bytes() != (data / path.name).read_bytes()]
+    ids = {line.split(b",")[0].decode("utf-8", "replace").strip()
+           for path in changed for line in path.read_bytes().splitlines()[1:]}
+    return any(path.name in err for path in changed) or any(repr(task_id) in err for task_id in ids)
+
+
 def _finite_outputs(out):
     """Whether a run's forecast is finite and each JSON file it wrote parses strictly, with no Infinity or NaN."""
     constants = []  # what a strict parser would refuse
@@ -276,4 +287,6 @@ def test_mutated_inputs_end_in_a_known_exit(kind, inputs, tmp_path, monkeypatch,
         elif code:
             if not err.startswith(PREFIX[code]) or err.count("\n") != 1 or out.exists():
                 failures.append(f"{kind}-{i} {argv}: exit {code} with {err!r}")
+            elif kind == "data" and code == 3 and not _names_its_input(err, inputs / "data", work / "data"):
+                failures.append(f"{kind}-{i} {argv}: {err!r} names neither the mutated file nor a task id in it")
     assert not failures, "\n".join(failures)

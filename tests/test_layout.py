@@ -8,7 +8,8 @@ entry point that only its own unit tests call is one that nothing uses. The
 package defines one exception class per exit code of the CLI, and its except
 clauses list exception classes only, ``NumericError`` the one
 ``ArithmeticError`` among them. Only ``data`` splits text into CSV lines and
-fields, and only ``search`` reads an evaluation record's status.
+fields, only ``search`` reads an evaluation record's status, and every
+``json.dump`` or ``json.dumps`` call passes ``allow_nan=False``.
 """
 
 import ast
@@ -135,3 +136,13 @@ def test_only_search_reads_a_record_status(module):
     reads = [f"status (line {node.lineno})" for node in ast.walk(MODULES[module])
              if isinstance(node, ast.Attribute) and node.attr == "status"]
     assert reads == []
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_every_json_dump_refuses_non_finite_values(module):
+    # every JSON file a command writes is strict JSON: a NaN or an infinity raises instead of writing NaN or Infinity
+    loose = [f"{node.func.attr} (line {node.lineno})" for node in ast.walk(MODULES[module])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dump", "dumps") and not any(
+                 keyword.arg == "allow_nan" and ast.unparse(keyword.value) == "False" for keyword in node.keywords)]
+    assert loose == []

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,6 +431,21 @@ class TestOptimizers:
             assert state.step == step + 1 and len(state.acc) == len(expected_acc)
             assert theta.tobytes() == expected_theta.tobytes()
             assert all(a.tobytes() == b.tobytes() for a, b in zip(state.acc, expected_acc))
+
+    @pytest.mark.parametrize("kind, vectors", [("sgd", 1), ("adam", 4), ("rmsprop", 3), ("adadelta", 4),
+                                               ("adagrad", 3)])
+    def test_one_step_allocates_only_its_outputs_and_one_scratch(self, kind, vectors):
+        # the returned vector and accumulators, plus one scratch vector for every kind but sgd: a step that built its
+        # update out of place, one temporary per operation, would allocate several more
+        size, rng = 100_000, np.random.default_rng(0)
+        state, theta, grad = init_optimizer(kind, size), rng.standard_normal(size), rng.standard_normal(size)
+        tracemalloc.start()
+        try:
+            optimizer_step(state, theta, grad, lr=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert round(peak / (8 * size)) == vectors
 
     @pytest.mark.parametrize("kind", OPTIMIZERS)
     def test_returns_fresh_arrays(self, kind):
